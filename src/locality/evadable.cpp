@@ -15,24 +15,16 @@ PairwiseReuseCollector::PairwiseReuseCollector(std::int64_t granularity)
 
 void PairwiseReuseCollector::accessFrom(int stmtId, std::int64_t addr) {
   addr /= granularity_;
-  Last& l = last_[addr];
-  if (l.timePlusOne != 0) {
-    const std::uint64_t prev = l.timePlusOne - 1;
-    const std::uint64_t distance = static_cast<std::uint64_t>(
-        time_ > prev + 1 ? marks_.rangeSum(prev + 1, time_ - 1) : 0);
-    marks_.add(prev, -1);
-    histogram_.add(distance);
-    ReusePairStats& st = pairs_[pairKey(l.stmt, stmtId)];
+  const std::uint64_t distance = tracker_.access(addr);
+  histogram_.add(distance);
+  int& lastStmt = lastStmt_[addr];
+  if (distance != ReuseDistanceTracker::kCold) {
+    ReusePairStats& st = pairs_[pairKey(lastStmt, stmtId)];
     ++st.count;
     st.sumDistance += static_cast<double>(distance);
     ++totalReuses_;
-  } else {
-    histogram_.add(Log2Histogram::kCold);
   }
-  marks_.add(time_, +1);
-  l.timePlusOne = time_ + 1;
-  l.stmt = stmtId;
-  ++time_;
+  lastStmt = stmtId;
 }
 
 void PairwiseReuseCollector::onInstr(int stmtId,

@@ -7,10 +7,19 @@
 // than the cache capacity; that equivalence is tested against the cache
 // simulator.
 //
-// The streaming tracker costs O(log T) per access: a Fenwick tree holds one
-// mark at the trace position of each datum's most recent access; the distance
-// of a reuse is the number of marks strictly between the previous and the
-// current access to its datum.
+// The streaming tracker costs O(log M) time per access and O(M) space, where
+// M is the number of distinct data.  Each datum keeps one mark in a window
+// of time-ordered slots, at the slot of its most recent access; the distance
+// of a reuse is the number of marks after the datum's own, counted by one
+// prefix query on a Fenwick tree over the window.  Marks only move forward,
+// so the window fills with dead slots; when it is full, the live marks are
+// compacted to the front in their time order and the tree is rebuilt in
+// O(window) time.  The window is resized to 2 * (M + 1) slots (at least
+// 1024) at each compaction, so at least M + 1 accesses separate two
+// compactions and their cost amortizes to O(1) per access.  The last-access
+// table is a vector of 32-bit slots indexed directly by key, because layout
+// addresses divided by a granularity are dense; it covers the span from the
+// lowest to the highest key seen, so O(M) space holds for dense keys.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +27,6 @@
 #include <vector>
 
 #include "interp/trace.hpp"
-#include "locality/fenwick.hpp"
-#include "support/flat_map.hpp"
 #include "support/histogram.hpp"
 
 namespace gcr {
@@ -27,30 +34,46 @@ namespace gcr {
 class ReuseDistanceTracker {
  public:
   static constexpr std::uint64_t kCold = Log2Histogram::kCold;
+  /// Largest key span (highest key - lowest key + 1) the last-access table
+  /// may cover: 2^30 keys, a 4 GiB table.  It keeps window slots and mark
+  /// counts within 32 bits.  A key that would widen the span past it throws
+  /// gcr::Error before anything is allocated.
+  static constexpr std::uint64_t kMaxKeySpan = std::uint64_t{1} << 30;
 
   /// Process one access; returns its reuse distance, or kCold for a first
   /// access.
-  std::uint64_t access(std::int64_t addr);
+  std::uint64_t access(std::int64_t key);
 
   std::uint64_t accesses() const { return time_; }
-  std::uint64_t distinctData() const { return last_.size(); }
+  std::uint64_t distinctData() const { return live_; }
 
-  /// Pre-size both internal structures: the mark tree for the trace length
-  /// and the last-access map for the distinct-datum count.  Pass
-  /// expectedDistinctData = 0 when only the trace length is known; the map
-  /// is then sized for the trace length too (distinct data is bounded by
-  /// it), which avoids every mid-trace rehash at the cost of memory — use
-  /// the two-argument form for large traces.
+  /// Size hint.  The last-access table is allocated for the key range
+  /// [0, expectedDistinctData), the range that layout addresses divided by
+  /// the granularity occupy, and the window buffers get capacity for that
+  /// many data at the first compaction; keys outside the range still work
+  /// and grow both on demand.  Pass expectedDistinctData = 0 when only the
+  /// trace length is known: the table then starts at the first key and
+  /// grows from there.
+  /// expectedAccesses is accepted for source compatibility and unused, since
+  /// no structure grows with the trace length.
   void reserve(std::uint64_t expectedAccesses,
-               std::uint64_t expectedDistinctData = 0) {
-    marks_.reserve(expectedAccesses);
-    last_.reserve(static_cast<std::size_t>(
-        expectedDistinctData > 0 ? expectedDistinctData : expectedAccesses));
-  }
+               std::uint64_t expectedDistinctData = 0);
 
  private:
-  FlatMap64<std::uint64_t> last_;  // addr -> 1 + trace position of last access
-  FenwickTree marks_;
+  std::uint64_t coverKey(std::int64_t key);
+  void compact();
+
+  // key - base_ -> 1 + window slot of the key's last access; 0 = never seen.
+  std::vector<std::uint32_t> last_;
+  std::int64_t base_ = 0;
+  std::uint64_t tableHint_ = 0;
+  // Window slot -> key - base_ of the access placed there.
+  std::vector<std::uint32_t> owner_;
+  // Fenwick tree (1-based) over the window's live marks.
+  std::vector<std::int32_t> marks_;
+  std::uint32_t window_ = 0;  // slots in use by the tree
+  std::uint32_t next_ = 0;    // next free slot
+  std::uint64_t live_ = 0;    // marks in the window = distinct data so far
   std::uint64_t time_ = 0;
 };
 
@@ -82,12 +105,11 @@ class ReuseDistanceSink final : public InstrSink {
   void onBlock(const InstrBlock& b) override;
 
   /// Forwarded to the tracker; `expectedDistinctBytes` is divided by the
-  /// granularity to size the last-access map.
+  /// granularity, rounding up, to size the last-access table.
   void reserve(std::uint64_t expectedAccesses,
                std::uint64_t expectedDistinctBytes = 0) {
-    tracker_.reserve(expectedAccesses,
-                     static_cast<std::uint64_t>(expectedDistinctBytes) /
-                         static_cast<std::uint64_t>(granularity_));
+    const auto g = static_cast<std::uint64_t>(granularity_);
+    tracker_.reserve(expectedAccesses, (expectedDistinctBytes + g - 1) / g);
   }
 
   const ReuseProfile& profile() const { return profile_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/assert.hpp"
 #include "support/prng.hpp"
 
 namespace gcr {
@@ -36,14 +37,7 @@ std::uint64_t SampledReuseTracker::access(std::int64_t addr) {
 
 void SampledReuseTracker::reserve(std::uint64_t expectedAccesses,
                                   std::uint64_t expectedDistinctData) {
-  const auto scale = [&](std::uint64_t v) {
-    return exact_mode_ ? v
-                       : static_cast<std::uint64_t>(
-                             static_cast<double>(v) * rate_) +
-                             1;
-  };
-  exact_.reserve(scale(expectedAccesses),
-                 expectedDistinctData > 0 ? scale(expectedDistinctData) : 0);
+  exact_.reserve(expectedAccesses, expectedDistinctData);
 }
 
 SampledReuseSink::SampledReuseSink(std::int64_t granularity, double rate)
@@ -72,9 +66,8 @@ void SampledReuseSink::onBlock(const InstrBlock& b) {
 
 void SampledReuseSink::reserve(std::uint64_t expectedAccesses,
                                std::uint64_t expectedDistinctBytes) {
-  tracker_.reserve(expectedAccesses,
-                   static_cast<std::uint64_t>(expectedDistinctBytes) /
-                       static_cast<std::uint64_t>(granularity_));
+  const auto g = static_cast<std::uint64_t>(granularity_);
+  tracker_.reserve(expectedAccesses, (expectedDistinctBytes + g - 1) / g);
 }
 
 ReuseProfile SampledReuseSink::takeProfile() {
@@ -87,7 +80,6 @@ ReuseProfile SampledReuseSink::takeProfile() {
 ReuseProfile profileAddressesSampled(const std::vector<std::int64_t>& addrs,
                                      std::int64_t granularity, double rate) {
   SampledReuseSink sink(granularity, rate);
-  sink.reserve(addrs.size());
   for (std::int64_t a : addrs) sink.onInstr(0, {}, a);
   return sink.takeProfile();
 }

@@ -1,10 +1,13 @@
 // Sampled reuse-distance analysis (SHARDS-style spatial hash sampling).
 //
-// Exact tracking costs O(log T) time per access and O(D) space for the
-// last-access map — the scaling limit for paper-sized inputs.  Spatial
-// sampling fixes both: a datum is *sampled* iff a hash of its address falls
-// under a threshold T_R = R * 2^64, so a rate-R tracker monitors an
-// unbiased ~R fraction of all data and only pays for accesses to those.
+// Exact tracking costs O(log M) time per access for M distinct data and
+// O(M) space for its mark window — the scaling limit for paper-sized inputs.
+// Spatial sampling shrinks both: a datum is *sampled* iff a hash of its
+// address falls under a threshold T_R = R * 2^64, so a rate-R tracker
+// monitors an unbiased ~R fraction of all data and only pays for accesses to
+// those.  Its direct-indexed last-access table still spans the full key
+// range (4 bytes per datum), because sampling thins the keys but not their
+// span.
 // Because the sampled data are a uniform random subset of all data, the
 // number of distinct *sampled* data between two accesses to a sampled datum
 // is ~R times the true reuse distance; scaling the measured distance by 1/R
@@ -49,8 +52,8 @@ class SampledReuseTracker {
   std::uint64_t sampledAccesses() const { return exact_.accesses(); }
   std::uint64_t distinctSampled() const { return exact_.distinctData(); }
 
-  /// Pre-size for the expected *total* trace; internal structures are sized
-  /// for the sampled fraction of it.
+  /// Pre-size for the expected *total* trace.  The key range is not thinned
+  /// by sampling, so the distinct-data hint passes through unscaled.
   void reserve(std::uint64_t expectedAccesses,
                std::uint64_t expectedDistinctData = 0);
 

@@ -67,14 +67,14 @@ void expectMatchesNaive(const std::vector<std::int64_t>& trace,
 }
 
 TEST(ReuseDistance, AdversarialAllSameAddress) {
-  // Every access after the first reuses at distance 0; the Fenwick tree
-  // holds exactly one live mark the whole time.
+  // Every access after the first reuses at distance 0; the window holds
+  // exactly one live mark the whole time.
   expectMatchesNaive(std::vector<std::int64_t>(500, 7), "all-same");
 }
 
 TEST(ReuseDistance, AdversarialAllDistinct) {
   // No reuse at all: the mark count grows monotonically to the trace
-  // length (the worst case for the tree's grow/rebuild path).
+  // length (the worst case for the window's grow/compact path).
   std::vector<std::int64_t> trace;
   for (std::int64_t i = 0; i < 600; ++i) trace.push_back(i * 3 - 100);
   expectMatchesNaive(trace, "all-distinct");
