@@ -1,5 +1,6 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace gcr {
@@ -14,71 +15,66 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg) : cfg_(cfg) {
   const std::int64_t sets = cfg_.numSets();
   GCR_CHECK(sets > 0 && std::has_single_bit(static_cast<std::uint64_t>(sets)),
             "set count must be a positive power of two");
-  setMask_ = sets - 1;
+  setMask_ = static_cast<std::uint64_t>(sets) - 1;
   lineShift_ = std::countr_zero(static_cast<std::uint64_t>(cfg_.lineSize));
-  lines_.assign(static_cast<std::size_t>(sets) *
-                    static_cast<std::size_t>(cfg_.ways),
-                Line{});
-}
-
-SetAssocCache::Line* SetAssocCache::findVictim(std::int64_t set) {
-  Line* base = &lines_[static_cast<std::size_t>(set) *
-                       static_cast<std::size_t>(cfg_.ways)];
-  Line* victim = base;
-  for (int w = 0; w < cfg_.ways; ++w) {
-    if (base[w].tag < 0) return &base[w];
-    if (base[w].lastUse < victim->lastUse) victim = &base[w];
+  ways_ = cfg_.ways;
+  const std::size_t lineCount =
+      static_cast<std::size_t>(sets) * static_cast<std::size_t>(ways_);
+  lines_.assign(lineCount, Line{});
+  if (ways_ > 2) {
+    // About 4 hints per line, but never more bytes than the line array.
+    const std::size_t hintCount = std::bit_floor(std::min(
+        4 * lineCount, lineCount * sizeof(Line) / sizeof(std::uint32_t)));
+    hints_.assign(hintCount, 0);
+    hintShift_ = 64 - std::countr_zero(hintCount);
   }
-  return victim;
 }
 
-bool SetAssocCache::access(std::int64_t addr, bool isWrite) {
-  ++stats_.accesses;
-  ++clock_;
-  lastHitWasPrefetched_ = false;
-  const std::int64_t block = addr >> lineShift_;
-  const std::int64_t set = block & setMask_;
-  Line* base = &lines_[static_cast<std::size_t>(set) *
-                       static_cast<std::size_t>(cfg_.ways)];
-
-  for (int w = 0; w < cfg_.ways; ++w) {
-    Line& line = base[w];
-    if (line.tag == block) {
-      line.lastUse = clock_;
-      line.dirty = line.dirty || isWrite;
-      if (line.prefetched) {
-        ++stats_.prefetchHits;
-        line.prefetched = false;
-        lastHitWasPrefetched_ = true;
-      }
-      return true;
+SetAssocCache::Line* SetAssocCache::scan(Line* base, std::uint64_t block) {
+  for (int w = 0; w < ways_; ++w) {
+    if (base[w].tag == block && base[w].lastUse != 0) {
+      if (!hints_.empty()) hintOf(block) = static_cast<std::uint32_t>(w);
+      return &base[w];
     }
   }
+  return nullptr;
+}
+
+bool SetAssocCache::accessSlow(Line* base, std::uint64_t block,
+                               bool isWrite) {
+  if (Line* line = scan(base, block)) {
+    hit(*line, isWrite);
+    return true;
+  }
   ++stats_.misses;
-  Line* victim = findVictim(set);
-  if (victim->tag >= 0 && victim->dirty) ++stats_.writebacks;
-  victim->tag = block;
-  victim->lastUse = clock_;
-  victim->dirty = isWrite;
-  victim->prefetched = false;
+  fill(base, block, isWrite, false);
   return false;
 }
 
+void SetAssocCache::fill(Line* base, std::uint64_t block, bool dirty,
+                         bool prefetched) {
+  // The first line with the oldest timestamp; empty lines (lastUse 0) go
+  // first, lowest way first.
+  int victim = 0;
+  for (int w = 1; w < ways_; ++w)
+    if (base[w].lastUse < base[victim].lastUse) victim = w;
+  Line& line = base[victim];
+  if (line.dirty) ++stats_.writebacks;
+  line.tag = block;
+  line.lastUse = clock_;
+  line.dirty = dirty;
+  line.prefetched = prefetched;
+  if (!hints_.empty()) hintOf(block) = static_cast<std::uint32_t>(victim);
+}
+
 void SetAssocCache::prefetch(std::int64_t addr) {
-  const std::int64_t block = addr >> lineShift_;
-  const std::int64_t set = block & setMask_;
-  Line* base = &lines_[static_cast<std::size_t>(set) *
-                       static_cast<std::size_t>(cfg_.ways)];
-  for (int w = 0; w < cfg_.ways; ++w)
-    if (base[w].tag == block) return;  // already resident
+  const std::uint64_t block = blockOf(addr);
+  Line* const base = setOf(block);
+  if (probe(base, block) != nullptr || scan(base, block) != nullptr)
+    return;  // already resident
   ++clock_;
   ++stats_.prefetchFills;
-  Line* victim = findVictim(set);
-  if (victim->tag >= 0 && victim->dirty) ++stats_.writebacks;
-  victim->tag = block;
-  victim->lastUse = clock_;
-  victim->dirty = false;
-  victim->prefetched = true;
+  fill(base, block, false, true);
 }
 
 SetAssocCache makeTlb(int entries, std::int64_t pageSize,

@@ -26,15 +26,20 @@ Measurement measure(const ProgramVersion& version, std::int64_t n,
   MemoryHierarchy hierarchy(machine);
   execute(version.program, layout, {.n = n, .timeSteps = timeSteps},
           &hierarchy);
+  return measurementOf(hierarchy, cost, secondsSince(t0));
+}
+
+Measurement measurementOf(const MemoryHierarchy& hierarchy,
+                          const CostModel& cost, double wallSeconds) {
   Measurement m;
   m.counts = hierarchy.counts();
   m.cycles = cost.cycles(m.counts);
   m.memoryTrafficBytes = hierarchy.memoryTrafficBytes();
   m.effectiveBandwidth = hierarchy.effectiveBandwidthRatio();
-  m.wallSeconds = secondsSince(t0);
+  m.wallSeconds = wallSeconds;
   m.accessesPerSecond =
-      m.wallSeconds > 0 ? static_cast<double>(m.counts.refs) / m.wallSeconds
-                        : 0.0;
+      wallSeconds > 0 ? static_cast<double>(m.counts.refs) / wallSeconds
+                      : 0.0;
   return m;
 }
 

@@ -57,6 +57,10 @@ Measurement measure(const ProgramVersion& version, std::int64_t n,
                     std::uint64_t timeSteps = 1,
                     const CostModel& cost = {});
 
+/// The Measurement of a finished simulation that took `wallSeconds`.
+Measurement measurementOf(const MemoryHierarchy& hierarchy,
+                          const CostModel& cost, double wallSeconds);
+
 /// One independent simulation of a parallel sweep.
 struct MeasureTask {
   ProgramVersion version;

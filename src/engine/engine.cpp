@@ -460,16 +460,7 @@ struct Engine::Impl {
     MemoryHierarchy hierarchy(machine);
     runPlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps},
             &hierarchy);
-    Measurement m;
-    m.counts = hierarchy.counts();
-    m.cycles = cost.cycles(m.counts);
-    m.memoryTrafficBytes = hierarchy.memoryTrafficBytes();
-    m.effectiveBandwidth = hierarchy.effectiveBandwidthRatio();
-    m.wallSeconds = secondsSince(t0);
-    m.accessesPerSecond =
-        m.wallSeconds > 0 ? static_cast<double>(m.counts.refs) / m.wallSeconds
-                          : 0.0;
-    return m;
+    return measurementOf(hierarchy, cost, secondsSince(t0));
   }
 
   ReuseProfile computeProfile(const ProgramVersion& version,

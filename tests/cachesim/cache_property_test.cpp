@@ -55,7 +55,7 @@ class CacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CacheProperty, FullyAssociativeMatchesNaiveLru) {
   const auto trace = randomTrace(GetParam(), 20000, 1 << 16);
-  for (int lines : {4, 16, 64}) {
+  for (int lines : {4, 16, 64, 128, 256}) {
     SetAssocCache c(CacheConfig{lines * 32, 32, lines, "fa"});
     for (std::int64_t a : trace) c.access(a, false);
     EXPECT_EQ(c.stats().misses, naiveFullyAssocMisses(trace, 32, lines))

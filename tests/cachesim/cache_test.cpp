@@ -91,6 +91,46 @@ TEST(Cache, PrefetchEvictsAndWritesBack) {
   EXPECT_EQ(c.stats().writebacks, 1u);
 }
 
+TEST(Cache, NegativeBlockIsNotAnEmptyLine) {
+  // Block -1 holds [-32, 0).  An empty line must not match it, and a
+  // resident negative block must age out under LRU like any other: on one
+  // 2-way set, -32, 0, 64, 0 misses three times (64 evicts -32).
+  SetAssocCache c(CacheConfig{2 * 32, 32, 2, "1set"});
+  EXPECT_FALSE(c.access(-32, false));
+  EXPECT_FALSE(c.access(0, false));
+  EXPECT_FALSE(c.access(64, false));
+  EXPECT_TRUE(c.access(0, false));
+  EXPECT_EQ(c.stats().misses, 3u);
+  EXPECT_FALSE(c.access(-1, true));  // block -1 was evicted by 64
+  c.access(64, false);
+  c.access(128, false);              // evicts the dirty block -1
+  EXPECT_EQ(c.stats().writebacks, 1u);
+}
+
+TEST(Cache, NegativePagesInHintedTlb) {
+  SetAssocCache tlb = makeTlb(4, 4096);
+  for (std::int64_t p = -2; p < 2; ++p)
+    EXPECT_FALSE(tlb.access(p * 4096, false));
+  for (std::int64_t p = -2; p < 2; ++p)
+    EXPECT_TRUE(tlb.access(p * 4096 + 8, false));
+  EXPECT_EQ(tlb.stats().misses, 4u);
+}
+
+TEST(Cache, ByteLinesAddressMinusOneStartsCold) {
+  // With 1-byte lines block -1 has all 64 bits set, like no real block of a
+  // wider line; it must still miss first and hit second.
+  for (int ways : {1, 2, 4}) {
+    SetAssocCache c(CacheConfig{ways, 1, ways, "byte"});
+    EXPECT_FALSE(c.access(-1, false)) << ways;
+    EXPECT_TRUE(c.access(-1, false)) << ways;
+    c.prefetch(-1);  // resident: free
+    EXPECT_EQ(c.stats().prefetchFills, 0u) << ways;
+  }
+  SetAssocCache c(CacheConfig{2, 1, 2, "byte"});
+  c.prefetch(-1);  // not resident although an empty line's tag matches
+  EXPECT_EQ(c.stats().prefetchFills, 1u);
+}
+
 // Section 2.1's equivalence: on a fully-associative LRU cache with
 // element-granular lines, an access hits iff its reuse distance is smaller
 // than the capacity.  Differential-test the cache against the tracker.
