@@ -29,9 +29,18 @@ inline bool fullSize() {
 
 /// The process-wide session Engine every bench binary runs through: one
 /// set of content-addressed caches amortizes pipeline runs, compiled plans
-/// and repeated simulations across a binary's whole sweep.
+/// and repeated simulations across a binary's whole sweep.  A rejected
+/// GCR_ENGINE (the removed "native") exits with status 2 and the reason.
 inline Engine& sessionEngine() {
-  static Engine engine;
+  static Engine engine = [] {
+    try {
+      (void)EngineConfig().resolveEngine();
+    } catch (const Error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::exit(2);
+    }
+    return Engine();
+  }();
   return engine;
 }
 
@@ -82,9 +91,9 @@ inline void printThroughput(const std::vector<VersionRow>& rows) {
 /// Session-Engine cache counters of a finished sweep.  Like the throughput
 /// line, the counts may depend on scheduling (in-flight coalescing vs cache
 /// hit), so this is printed outside the byte-compared result tables.  All
-/// four lines ("engine cache", "engine store", "engine native", "engine
-/// multicore") are excluded by CI's determinism greps — keep those patterns
-/// in sync when renaming.
+/// three lines ("engine cache", "engine store", "engine multicore") are
+/// excluded by CI's determinism greps — keep those patterns in sync when
+/// renaming.
 inline void printEngineStats() {
   const Engine::Stats s = sessionEngine().stats();
   auto hm = [](const CacheCounters& c) {
@@ -108,19 +117,6 @@ inline void printEngineStats() {
                 static_cast<unsigned long long>(d.puts),
                 static_cast<unsigned long long>(d.corruptRejected),
                 static_cast<unsigned long long>(d.evictions));
-  }
-  const NativeCounters& nc = s.native;
-  if (nc.nativeRuns != 0 || nc.fallbacks != 0 || nc.compiles != 0) {
-    std::printf("engine native (codegen tier): %llu native runs, "
-                "%llu fallbacks, %llu module-cache hits, %llu store hits, "
-                "%llu compiles (%llu failed), %llu store puts\n",
-                static_cast<unsigned long long>(nc.nativeRuns),
-                static_cast<unsigned long long>(nc.fallbacks),
-                static_cast<unsigned long long>(nc.moduleCacheHits),
-                static_cast<unsigned long long>(nc.storeHits),
-                static_cast<unsigned long long>(nc.compiles),
-                static_cast<unsigned long long>(nc.compileFailures),
-                static_cast<unsigned long long>(nc.storePuts));
   }
 }
 

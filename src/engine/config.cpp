@@ -19,7 +19,7 @@ std::string EngineConfig::resolveCacheDir() const {
 }
 
 ExecEngine EngineConfig::resolveEngine() const {
-  if (engine.has_value()) return *engine;
+  if (engine.has_value()) return requireSupportedEngine(*engine);
   return execEngineFromToken(env::engineToken());
 }
 

@@ -1,6 +1,6 @@
 // EngineConfig — the one configuration record of a gcr::Engine session.
 //
-// Replaces the grown MeasureOptions / Engine::Options / environment-variable
+// Replaces the grown MeasureOptions / per-Engine options / environment-variable
 // trio.  Every knob lives here, each with a builder-style setter, and every
 // environment override resolves through gcr::env (support/env.hpp) with one
 // precedence rule, applied uniformly:
@@ -12,8 +12,9 @@
 //   cacheDir  — cacheDir set wins ("" disables the disk tier even when the
 //               variable is set); else GCR_CACHE_DIR; else "" = no disk tier
 //               (resolveCacheDir()).
-//   engine    — engine set wins; else GCR_ENGINE ("walk"/"tree", "plan",
-//               "native"); else Auto (resolveEngine()).
+//   engine    — engine set wins; else GCR_ENGINE ("walk"/"tree", "plan");
+//               else Auto (resolveEngine()).  ExecEngine::Native, set either
+//               way, is a gcr::Error: that tier was removed.
 //
 // The resolve*() helpers are the only place this precedence is encoded;
 // Engine reads the environment exactly once, at construction, through them
@@ -98,7 +99,7 @@ struct EngineConfig {
   std::string resolveCacheDir() const;
 
   /// Final execution engine: the explicit field when set, else the
-  /// GCR_ENGINE token, else Auto.
+  /// GCR_ENGINE token, else Auto.  Throws gcr::Error for Native.
   ExecEngine resolveEngine() const;
 };
 

@@ -126,10 +126,9 @@ class Executor {
 };
 
 // GCR_ENGINE environment override, consulted only when opts.engine is Auto:
-// "walk"/"tree" forces the tree walker, "plan" requires the plan engine,
-// "native" selects the codegen tier where one is attached (gcr::Engine) and
-// behaves like Auto here.  Cached once per process: execute() is on the hot
-// measurement path and the answer must not change mid-run.
+// "walk"/"tree" forces the tree walker, "plan" requires the plan engine.
+// Cached once per process: execute() is on the hot measurement path and the
+// answer must not change mid-run.
 ExecEngine envEngine() {
   static const ExecEngine cached = execEngineFromToken(env::engineToken());
   return cached;
@@ -140,8 +139,15 @@ ExecEngine envEngine() {
 ExecEngine execEngineFromToken(const std::string& token) {
   if (token == "walk" || token == "tree") return ExecEngine::TreeWalk;
   if (token == "plan") return ExecEngine::Plan;
-  if (token == "native") return ExecEngine::Native;
+  if (token == "native") return requireSupportedEngine(ExecEngine::Native);
   return ExecEngine::Auto;
+}
+
+ExecEngine requireSupportedEngine(ExecEngine e) {
+  GCR_CHECK(e != ExecEngine::Native,
+            "the native execution tier was removed; select the plan or "
+            "walk engine instead");
+  return e;
 }
 
 // Initial contents are a function of (array, logical index) — never of the
@@ -186,7 +192,7 @@ void initializeMemory(const Program& p, const DataLayout& layout,
 
 ExecResult execute(const Program& p, const DataLayout& layout,
                    const ExecOptions& opts, InstrSink* sink) {
-  ExecEngine engine = opts.engine;
+  ExecEngine engine = requireSupportedEngine(opts.engine);
   if (engine == ExecEngine::Auto) engine = envEngine();
   if (engine != ExecEngine::TreeWalk) {
     PlanCompileResult compiled = compilePlan(p, layout, opts);

@@ -2,11 +2,26 @@
 
 namespace gcr {
 
+std::int64_t checkedAdd(std::int64_t a, std::int64_t b, const char* what) {
+  std::int64_t r;
+  GCR_CHECK(!__builtin_add_overflow(a, b, &r),
+            std::string(what) + " overflows int64");
+  return r;
+}
+
+std::int64_t checkedMul(std::int64_t a, std::int64_t b, const char* what) {
+  std::int64_t r;
+  GCR_CHECK(!__builtin_mul_overflow(a, b, &r),
+            std::string(what) + " overflows int64");
+  return r;
+}
+
 std::vector<std::int64_t> concreteExtents(const ArrayDecl& d, std::int64_t n) {
   std::vector<std::int64_t> ext;
   ext.reserve(d.extents.size());
   for (const AffineN& e : d.extents) {
-    const std::int64_t v = e.eval(n);
+    const std::int64_t v =
+        checkedAdd(e.c, checkedMul(e.s, n, "array extent"), "array extent");
     GCR_CHECK(v > 0, "array " + d.name + " has non-positive extent at n=" +
                          std::to_string(n));
     ext.push_back(v);
@@ -16,7 +31,8 @@ std::vector<std::int64_t> concreteExtents(const ArrayDecl& d, std::int64_t n) {
 
 std::int64_t elementCount(const ArrayDecl& d, std::int64_t n) {
   std::int64_t count = 1;
-  for (std::int64_t e : concreteExtents(d, n)) count *= e;
+  for (std::int64_t e : concreteExtents(d, n))
+    count = checkedMul(count, e, "element count");
   return count;
 }
 
@@ -34,11 +50,13 @@ DataLayout buildContiguous(const Program& p, std::int64_t n,
     std::int64_t stride = d.elemSize;
     for (int dim = static_cast<int>(ext.size()) - 1; dim >= 0; --dim) {
       m.strides[static_cast<std::size_t>(dim)] = stride;
-      stride *= ext[static_cast<std::size_t>(dim)];
+      stride = checkedMul(stride, ext[static_cast<std::size_t>(dim)],
+                          "array size in bytes");
     }
     m.base = cursor;
-    cursor += stride;  // stride == total bytes of this array
-    cursor += padBytes;
+    // stride == total bytes of this array
+    cursor = checkedAdd(cursor, stride, "layout size in bytes");
+    cursor = checkedAdd(cursor, padBytes, "layout size in bytes");
     maps.push_back(std::move(m));
   }
   return DataLayout(std::move(maps), cursor);

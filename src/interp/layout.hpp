@@ -61,4 +61,9 @@ std::vector<std::int64_t> concreteExtents(const ArrayDecl& d, std::int64_t n);
 /// Number of elements of an array at problem size n.
 std::int64_t elementCount(const ArrayDecl& d, std::int64_t n);
 
+/// Layout size arithmetic: a + b and a * b, throwing gcr::Error that names
+/// `what` where the int64 result would overflow (undefined behaviour).
+std::int64_t checkedAdd(std::int64_t a, std::int64_t b, const char* what);
+std::int64_t checkedMul(std::int64_t a, std::int64_t b, const char* what);
+
 }  // namespace gcr

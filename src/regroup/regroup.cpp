@@ -259,6 +259,10 @@ std::vector<ArrayId> Regrouping::groupedWith(ArrayId a, int dim) const {
 
 namespace {
 
+void addToBase(ArrayLayout& m, std::int64_t offset) {
+  m.base = checkedAdd(m.base, offset, "regrouped array base");
+}
+
 /// Recursive layout builder; see the chunk derivation in the header.
 /// Returns the byte size of the block covering dims [d, rank) for one fixed
 /// index tuple of the outer dims.
@@ -271,8 +275,8 @@ std::int64_t layoutDims(
     // Element level: members interleave one element each.
     std::int64_t off = 0;
     for (ArrayId x : part) {
-      maps[static_cast<std::size_t>(x)].base += off;
-      off += 8;
+      addToBase(maps[static_cast<std::size_t>(x)], off);
+      off = checkedAdd(off, 8, "regrouped element size");
     }
     return off;
   }
@@ -296,13 +300,15 @@ std::int64_t layoutDims(
 
   std::int64_t rowUnit = 0;
   for (const auto& q : subs) {
-    for (ArrayId x : q) maps[static_cast<std::size_t>(x)].base += rowUnit;
-    rowUnit += layoutDims(q, d + 1, rank, extents, partitions, maps);
+    for (ArrayId x : q) addToBase(maps[static_cast<std::size_t>(x)], rowUnit);
+    rowUnit = checkedAdd(
+        rowUnit, layoutDims(q, d + 1, rank, extents, partitions, maps),
+        "regrouped row size");
   }
   for (ArrayId x : part)
     maps[static_cast<std::size_t>(x)].strides[static_cast<std::size_t>(d)] =
         rowUnit;
-  return extent * rowUnit;
+  return checkedMul(extent, rowUnit, "regrouped block size");
 }
 
 }  // namespace
@@ -323,8 +329,10 @@ DataLayout Regrouping::layout(const Program& p, std::int64_t n) const {
   GCR_CHECK(!partitions_.empty(), "layout() before analyze()");
   for (const auto& part : partitions_[0]) {
     const int rank = p.arrays[static_cast<std::size_t>(part.front())].rank();
-    for (ArrayId x : part) maps[static_cast<std::size_t>(x)].base += cursor;
-    cursor += layoutDims(part, 0, rank, extents, partitions_, maps);
+    for (ArrayId x : part) addToBase(maps[static_cast<std::size_t>(x)], cursor);
+    cursor = checkedAdd(cursor,
+                        layoutDims(part, 0, rank, extents, partitions_, maps),
+                        "layout size in bytes");
   }
   return DataLayout(std::move(maps), cursor);
 }

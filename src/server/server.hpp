@@ -57,7 +57,7 @@ struct ServerOptions {
 
   /// The shared Engine's configuration (cacheDir here is what makes the
   /// persistent store cross-tenant).
-  Engine::Options engine;
+  EngineConfig engine;
 
   /// Admission limits; see the header comment.  Zero = reject everything
   /// (useful in tests), negative is clamped to zero.

@@ -47,11 +47,10 @@ enum class ArtifactKind : std::uint32_t {
   PipelineResult = 1,
   Measurement = 2,
   ReuseProfile = 3,
-  /// A natively compiled access plan: shared-object bytes plus the compiler
-  /// fingerprint they were built with (store/codec.hpp CompiledPlanArtifact).
-  /// Keyed by the plan's STRUCTURAL signature (emitted-source hash + compiler
-  /// fingerprint + codegen ABI), not the per-size plan key, so one artifact
-  /// serves every problem size of the same plan structure.
+  /// Reserved, never reused: natively compiled access plans from a removed
+  /// execution tier.  Nothing reads or writes this kind any more; entries
+  /// left in an old store stay listable by scan() and evictable by the size
+  /// budget, and are never looked up.
   CompiledPlan = 4,
   /// A symbolic reuse profile (analysis/symbolic_reuse.hpp): closed-form
   /// per-site distance/count formulas in N.  Tiny and size-independent —

@@ -68,13 +68,6 @@ std::string ByteReader::str() {
   return s;
 }
 
-std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
-  need(n);
-  std::span<const std::uint8_t> s = data_.subspan(pos_, n);
-  pos_ += n;
-  return s;
-}
-
 std::size_t ByteReader::seqLen(std::size_t minElemBytes) {
   const std::uint64_t n = u64();
   GCR_CHECK(minElemBytes == 0 || n <= remaining() / minElemBytes,

@@ -64,8 +64,6 @@ class ByteReader {
   bool b();
   double f64();
   std::string str();
-  /// Raw view into the input (no copy); valid while the input lives.
-  std::span<const std::uint8_t> bytes(std::size_t n);
 
   /// Length prefix for a sequence whose elements occupy at least
   /// `minElemBytes` each; throws when the prefix cannot possibly fit in the

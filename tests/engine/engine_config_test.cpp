@@ -109,9 +109,48 @@ TEST(EngineConfig, EngineTokenSyntaxIsSingleSourced) {
   EXPECT_EQ(execEngineFromToken("walk"), ExecEngine::TreeWalk);
   EXPECT_EQ(execEngineFromToken("tree"), ExecEngine::TreeWalk);
   EXPECT_EQ(execEngineFromToken("plan"), ExecEngine::Plan);
-  EXPECT_EQ(execEngineFromToken("native"), ExecEngine::Native);
   EXPECT_EQ(execEngineFromToken(""), ExecEngine::Auto);
   EXPECT_EQ(execEngineFromToken("warp"), ExecEngine::Auto);
+}
+
+/// Runs `f`, requiring a gcr::Error that names the removed native tier.
+template <typename F>
+void expectNativeRejected(F&& f) {
+  try {
+    f();
+    ADD_FAILURE() << "selecting the native engine did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("native execution tier was removed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EngineConfig, RemovedNativeEngineIsAnErrorEverywhere) {
+  // The token, the builder, a directly assigned field, the environment at
+  // Engine construction, and the raw execute() entry point all refuse the
+  // removed tier instead of quietly running another engine.
+  expectNativeRejected([] { (void)execEngineFromToken("native"); });
+  expectNativeRejected([] {
+    (void)EngineConfig().withEngine(ExecEngine::Native).resolveEngine();
+  });
+  expectNativeRejected([] {
+    Engine e(EngineConfig().withThreads(1).withEngine(ExecEngine::Native));
+  });
+  expectNativeRejected([] {
+    EngineConfig c;
+    c.engine = ExecEngine::Native;
+    (void)c.resolveEngine();
+  });
+  {
+    EnvGuard guard("GCR_ENGINE", "native");
+    expectNativeRejected([] { Engine e(EngineConfig().withThreads(1)); });
+  }
+  const Program p = apps::buildApp("ADI");
+  const DataLayout layout = contiguousLayout(p, 8);
+  expectNativeRejected([&] {
+    (void)execute(p, layout, {.n = 8, .engine = ExecEngine::Native});
+  });
 }
 
 TEST(EngineConfig, BuilderChainsAndReturnsSelf) {

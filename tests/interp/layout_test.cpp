@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "apps/registry.hpp"
+#include "driver/pipeline.hpp"
 #include "ir/builder.hpp"
 
 namespace gcr {
@@ -59,6 +61,33 @@ TEST(Layout, ExtentHelpers) {
   // Non-positive extents are rejected.
   ArrayDecl bad{"bad", {AffineN(-5, 0)}, 8};
   EXPECT_THROW(concreteExtents(bad, 4), Error);
+}
+
+TEST(Layout, SizeOverflowThrowsInsteadOfWrapping) {
+  // ADI at n = 3037000500: n * n > 2^63, so one array's byte size does not
+  // fit in int64.  Signed overflow is undefined behaviour; it used to wrap
+  // to a plausible-looking totalBytes() of 2.95e11.
+  const std::int64_t n = 3037000500;
+  const Program p = apps::buildApp("ADI");
+  EXPECT_THROW(elementCount(p.arrayDecl(0), n), Error);
+  EXPECT_THROW(contiguousLayout(p, n), Error);
+  EXPECT_THROW(paddedLayout(p, n, 64), Error);
+
+  // The regrouped layout builds its sizes with a different recursion.
+  const PipelineResult r =
+      runPipeline(p, pipelineOptionsFor(Strategy::FusedRegrouped));
+  ASSERT_TRUE(r.regrouped);
+  EXPECT_THROW(r.layoutAt(n), Error);
+  EXPECT_THROW(makeVersion(p, Strategy::FusedRegrouped).layoutAt(n), Error);
+
+  // Extents themselves are checked too: c + s * n past int64.
+  ArrayDecl huge{"huge", {AffineN(1, 4)}, 8};
+  EXPECT_THROW(concreteExtents(huge, std::int64_t{1} << 62), Error);
+
+  // Large sizes that fit are unaffected: only arithmetic, no allocation.
+  const std::int64_t fits = std::int64_t{1} << 20;
+  EXPECT_EQ(contiguousLayout(p, fits).totalBytes(),
+            r.layoutAt(fits).totalBytes());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "apps/registry.hpp"
 #include "common/random_program.hpp"
 #include "driver/pipeline.hpp"
+#include "fusion/fusion.hpp"
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
 
@@ -116,6 +117,38 @@ TEST(PlanDifferential, GuardsAndStatementEmbedding) {
     // Third member unguarded: the active set changes across sub-ranges.
     expectEnginesIdentical(p, contiguousLayout(p, 24), {.n = 24});
   }
+}
+
+TEST(PlanDifferential, FusedBorderStatementsAndReversedPairs) {
+  // Figure 4(a)-style fusion: loop-level statements fused into a neighbour
+  // become guarded border statements; then a backward recurrence pair,
+  // original and fused.  Several time steps each.
+  {
+    ProgramBuilder b("fig4a");
+    ArrayId a = b.array("A", {AffineN::N() + AffineN(1)});
+    ArrayId c = b.array("B", {AffineN::N() + AffineN(1)});
+    b.loop("i", 3, AffineN::N() - AffineN(2),
+           [&](IxVar i) { b.assign(b.ref(a, {i}), {b.ref(a, {i - 1})}); });
+    b.assign(b.ref(a, {cst(1)}), {b.ref(a, {cst(AffineN::N())})});
+    b.assign(b.ref(a, {cst(2)}), {});
+    b.loop("i", 3, AffineN::N(),
+           [&](IxVar i) { b.assign(b.ref(c, {i}), {b.ref(a, {i - 2})}); });
+    const Program fused = fuseProgram(b.take());
+    expectEnginesIdentical(fused, contiguousLayout(fused, 33),
+                           {.n = 33, .timeSteps = 3});
+  }
+  ProgramBuilder b("reversed");
+  ArrayId a = b.array("A", {AffineN::N() + AffineN(2)});
+  ArrayId c = b.array("B", {AffineN::N() + AffineN(2)});
+  b.loopDown("i", 1, AffineN::N(),
+             [&](IxVar i) { b.assign(b.ref(a, {i}), {b.ref(a, {i + 1})}); });
+  b.loopDown("i", 1, AffineN::N(),
+             [&](IxVar i) { b.assign(b.ref(c, {i}), {b.ref(a, {i})}); });
+  const Program p = b.take();
+  const Program fused = fuseProgram(p);
+  expectEnginesIdentical(p, contiguousLayout(p, 25), {.n = 25, .timeSteps = 3});
+  expectEnginesIdentical(fused, contiguousLayout(fused, 25),
+                         {.n = 25, .timeSteps = 3});
 }
 
 TEST(PlanDifferential, OuterDepthGuardOnInnerStatement) {

@@ -4,10 +4,12 @@
 // The random-bytes fuzz at the bottom runs under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "server/protocol.hpp"
+#include "support/serialize.hpp"
 
 namespace gcr::server {
 namespace {
@@ -187,7 +189,7 @@ TEST(Protocol, StatsReplyRoundTrip) {
   r.engine.symbolic.misses = 1;
   r.engine.inflightCoalesced = 4;
   r.engine.store.puts = 9;
-  r.engine.native.compiles = 2;
+  r.engine.store.evictions = 2;
   r.cacheDir = "/tmp/store";
   const auto back = decodeStatsReply(encodeStatsReply(r));
   ASSERT_TRUE(back.has_value());
@@ -201,8 +203,36 @@ TEST(Protocol, StatsReplyRoundTrip) {
   EXPECT_EQ(back->engine.symbolic.misses, 1u);
   EXPECT_EQ(back->engine.inflightCoalesced, 4u);
   EXPECT_EQ(back->engine.store.puts, 9u);
-  EXPECT_EQ(back->engine.native.compiles, 2u);
+  EXPECT_EQ(back->engine.store.evictions, 2u);
   EXPECT_EQ(back->cacheDir, "/tmp/store");
+}
+
+TEST(Protocol, StatsReplyV3PayloadDecodesToNullopt) {
+  // Codec v3 carried seven native-tier counters between the store counters
+  // and the cache directory; v4 dropped them.  A v3 payload (an older
+  // daemon) is refused, never misread as v4.
+  StatsReply r;
+  r.engine.store.puts = 9;
+  r.cacheDir = "/tmp/store";
+  const std::vector<std::uint8_t> v4 = encodeStatsReply(r);
+  ASSERT_TRUE(decodeStatsReply(v4).has_value());
+
+  std::vector<std::uint8_t> v3 = v4;
+  const std::size_t cacheDirBytes = 8 + r.cacheDir.size();  // u64 length
+  v3.insert(v3.end() - static_cast<std::ptrdiff_t>(cacheDirBytes), 7 * 8, 0);
+  ByteWriter tag;
+  tag.u32(3);
+  const std::vector<std::uint8_t> word = tag.take();
+  std::copy(word.begin(), word.end(), v3.begin());
+  EXPECT_FALSE(decodeStatsReply(v3).has_value());
+
+  // Neither half of the change alone is accepted either.
+  std::vector<std::uint8_t> tagOnly = v4;
+  std::copy(word.begin(), word.end(), tagOnly.begin());
+  EXPECT_FALSE(decodeStatsReply(tagOnly).has_value());
+  std::vector<std::uint8_t> layoutOnly = v3;
+  std::copy(v4.begin(), v4.begin() + 4, layoutOnly.begin());
+  EXPECT_FALSE(decodeStatsReply(layoutOnly).has_value());
 }
 
 TEST(Protocol, DecodersNeverCrashOnMutatedPayloads) {

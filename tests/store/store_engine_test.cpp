@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include "../common/random_program.hpp"
@@ -15,6 +17,7 @@
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
 #include "store/codec.hpp"
+#include "support/serialize.hpp"
 
 namespace gcr {
 namespace {
@@ -49,8 +52,8 @@ bool sameProfile(const ReuseProfile& a, const ReuseProfile& b) {
   return true;
 }
 
-Engine::Options optionsWithDir(const std::string& dir) {
-  Engine::Options o;
+EngineConfig optionsWithDir(const std::string& dir) {
+  EngineConfig o;
   o.cacheDir = dir;
   return o;
 }
@@ -92,7 +95,7 @@ TEST(StoreEngine, DiskTierMatchesStorelessEngine) {
   testing::ScopedTempDir dir("gcr-engine-store");
   const MachineConfig machine = MachineConfig::origin2000();
 
-  Engine::Options none;
+  EngineConfig none;
   none.cacheDir = "";  // explicitly no disk tier
   Engine bare(none);
   Engine stored(optionsWithDir(dir.path()));
@@ -155,7 +158,7 @@ TEST(StoreEngine, CacheDirEnvironmentVariableIsPickedUp) {
     Engine byEnv;  // Options::cacheDir nullopt → environment
     EXPECT_EQ(byEnv.cacheDirInUse(), dir.path());
 
-    Engine::Options off;
+    EngineConfig off;
     off.cacheDir = "";  // explicit empty string beats the environment
     Engine disabled(off);
     EXPECT_EQ(disabled.cacheDirInUse(), "");
@@ -166,18 +169,15 @@ TEST(StoreEngine, CacheDirEnvironmentVariableIsPickedUp) {
   EXPECT_EQ(noEnv.cacheDirInUse(), "");
 }
 
-TEST(StoreEngine, PlanSignaturesAreRecordedNotPersisted) {
+TEST(StoreEngine, PlansAreNeverPersisted) {
   testing::ScopedTempDir dir("gcr-engine-store");
   const MachineConfig machine = MachineConfig::origin2000();
   const Program p = testing::randomProgram(41);
 
   Engine warm(optionsWithDir(dir.path()));
   (void)warm.measure(warm.version(p, Strategy::NoOpt), 16, machine);
-  // The plan was compiled this session and its key recorded for the future
-  // native-codegen artifact tier...
-  EXPECT_FALSE(warm.compiledPlanSignatures().empty());
-  // ...but nothing plan-shaped was written to disk: every stored object is
-  // one of the three serializable kinds.
+  // The plan was compiled this session, but nothing plan-shaped was written
+  // to disk: every stored object is one of the three serializable kinds.
   store::ArtifactStore::Options sopts;
   sopts.dir = dir.path();
   auto store = store::ArtifactStore::open(sopts);
@@ -190,6 +190,83 @@ TEST(StoreEngine, PlanSignaturesAreRecordedNotPersisted) {
                 kind == store::ArtifactKind::ReuseProfile)
         << e.file;
   }
+}
+
+TEST(StoreEngine, RetiredCompiledPlanEntryIsInertListedAndEvictable) {
+  // Stores written while the native tier existed may hold kind-4
+  // compiled_plan entries.  The number stays reserved: such an entry is
+  // never looked up, does not change any result, still shows in the
+  // inventory (scan(), which gcr-verify --store-stats prints), and the size
+  // budget can evict it like any other file.
+  testing::ScopedTempDir dir("gcr-engine-store");
+  namespace fs = std::filesystem;
+  const Signature planted{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  {
+    // The old codec's layout: version, ABI, compiler fingerprint, parameter
+    // count, then the shared-object bytes.
+    ByteWriter w;
+    w.u32(1).i64(1).str("cc 1.0").u64(3).u64(4);
+    w.bytes(std::vector<std::uint8_t>{0x7f, 'E', 'L', 'F'});
+    auto store = store::ArtifactStore::open({.dir = dir.path()});
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(
+        store->put(store::ArtifactKind::CompiledPlan, planted, w.take()));
+  }
+  const auto plantedEntries = [&] {
+    std::vector<store::ArtifactStore::EntryInfo> out;
+    auto store = store::ArtifactStore::open({.dir = dir.path()});
+    for (const auto& e : store->scan())
+      if (e.headerDecoded &&
+          e.header.kind == store::ArtifactKind::CompiledPlan)
+        out.push_back(e);
+    return out;
+  };
+  // Oldest file in the store, so the budget sweep reaches it first.
+  const auto anHourAgo =
+      fs::file_time_type::clock::now() - std::chrono::hours(1);
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(fs::path(dir.path()) / "objects"))
+    fs::last_write_time(e.path(), anHourAgo);
+
+  const MachineConfig machine = MachineConfig::origin2000();
+  const Program p = apps::buildApp("Swim");
+  EngineConfig none;
+  none.cacheDir = "";
+  Engine bare(none);
+  const ProgramVersion bv = bare.version(p, Strategy::FusedRegrouped);
+  const Measurement want = bare.measure(bv, 20, machine);
+  const ReuseProfile wantProfile = bare.reuseProfile(bv, 20);
+  {
+    Engine stored(optionsWithDir(dir.path()));
+    const ProgramVersion v = stored.version(p, Strategy::FusedRegrouped);
+    EXPECT_TRUE(sameSimulatedFields(want, stored.measure(v, 20, machine)));
+    EXPECT_EQ(store::encodeReuseProfile(stored.reuseProfile(v, 20)),
+              store::encodeReuseProfile(wantProfile));
+    EXPECT_EQ(stored.stats().store.corruptRejected, 0u);
+  }
+
+  const auto listed = plantedEntries();
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_TRUE(listed[0].valid);
+  EXPECT_EQ(listed[0].header.signature, planted);
+  EXPECT_STREQ(store::artifactKindName(listed[0].header.kind),
+               "compiled_plan");
+
+  // A budget one byte below the current total: the next publication runs
+  // the oldest-first sweep, which reaches the planted entry first.
+  std::uint64_t total = 0;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(fs::path(dir.path()) / "objects"))
+    total += e.file_size();
+  {
+    Engine budgeted(optionsWithDir(dir.path()).withStoreMaxBytes(total - 1));
+    const ProgramVersion v = budgeted.version(p, Strategy::FusedRegrouped);
+    EXPECT_TRUE(
+        sameSimulatedFields(bare.measure(bv, 24, machine),
+                            budgeted.measure(v, 24, machine)));
+    EXPECT_GE(budgeted.stats().store.evictions, 1u);
+  }
+  EXPECT_TRUE(plantedEntries().empty());
 }
 
 TEST(StoreEngine, AsyncBatchPathUsesTheDiskTier) {

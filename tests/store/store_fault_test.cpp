@@ -397,14 +397,14 @@ TEST(StoreFault, CorruptedStoreDegradesToNoStoreResults) {
   };
 
   // Reference: no store at all.
-  Engine::Options noStore;
+  EngineConfig noStore;
   noStore.cacheDir = "";
   Engine reference(noStore);
   const Measurement want = reference.measure(
       reference.version(p, Strategy::FusedRegrouped), 16, machine);
 
   // Warm the disk.
-  Engine::Options withStore;
+  EngineConfig withStore;
   withStore.cacheDir = dir.path();
   {
     Engine warm(withStore);
