@@ -32,6 +32,8 @@ struct CacheConfig {
   std::string name;
 
   std::int64_t numSets() const { return sizeBytes / (lineSize * ways); }
+  /// Every dimension positive; SetAssocCache also checks the shape.
+  bool positive() const { return sizeBytes > 0 && lineSize > 0 && ways > 0; }
 };
 
 struct CacheStats {

@@ -29,6 +29,11 @@ MachineConfig MachineConfig::scaledDown(int k) const {
   return cfg;
 }
 
+void MachineConfig::validate() const {
+  GCR_CHECK(l1.positive() && l2.positive() && tlbEntries > 0 && pageSize > 0,
+            "non-positive machine geometry");
+}
+
 MemoryHierarchy::MemoryHierarchy(const MachineConfig& cfg)
     : cfg_(cfg),
       l1_(cfg.l1),

@@ -29,6 +29,9 @@ struct MachineConfig {
   static MachineConfig octane();
   /// Geometry scaled by 1/k (same line sizes) for reduced-size studies.
   MachineConfig scaledDown(int k) const;
+  /// Throws gcr::Error unless every cache, TLB and page dimension is
+  /// positive.  The Engine checks each machine it is asked to simulate.
+  void validate() const;
 };
 
 struct MissCounts {

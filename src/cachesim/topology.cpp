@@ -27,4 +27,9 @@ CacheTopology CacheTopology::scaledDown(int k) const {
   return t;
 }
 
+void CacheTopology::validate() const {
+  GCR_CHECK(cores >= 1 && l1.positive() && l2.positive() && llc.positive(),
+            "non-positive topology geometry");
+}
+
 }  // namespace gcr

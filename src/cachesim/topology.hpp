@@ -59,6 +59,11 @@ struct CacheTopology {
   /// Geometry scaled by 1/k (same line sizes), for reduced-size studies —
   /// the CacheTopology analogue of MachineConfig::scaledDown().
   CacheTopology scaledDown(int k) const;
+
+  /// Throws gcr::Error unless there is at least one core and every level's
+  /// dimensions are positive.  The Engine checks each topology it is asked
+  /// to analyze.
+  void validate() const;
 };
 
 }  // namespace gcr

@@ -142,7 +142,8 @@ struct Engine::Impl {
 
   // Synchronous path of a submit()-visible artifact: serve from the typed
   // cache, coalesce onto the unified Reply in-flight map (which the async
-  // path feeds too), or compute on the calling thread and publish to both.
+  // path feeds too), or run the load-or-compute ladder on the calling thread
+  // and publish to both.
   template <typename V, typename Compute>
   V syncArtifact(LruCache<Signature, V, SignatureHash>& cache,
                  const Signature& key, Compute&& compute) {
@@ -160,7 +161,7 @@ struct Engine::Impl {
       inflightReplies.emplace(key, promise.get_future().share());
     }
     try {
-      V value = compute();
+      V value = loadOrCompute<V>(key, compute);
       {
         std::lock_guard<std::mutex> lock(mutex);
         cache.put(key, value);
@@ -179,8 +180,8 @@ struct Engine::Impl {
   }
 
   // Async path: cache hit resolves instantly, in-flight duplicate attaches,
-  // otherwise `compute` is enqueued on the pool.  `compute` must be
-  // copyable (own its inputs via shared_ptr) and is run exactly once.
+  // otherwise the load-or-compute ladder is enqueued on the pool.  `compute`
+  // must be copyable (own its inputs via shared_ptr) and runs at most once.
   template <typename V, typename Compute>
   Future<Reply> asyncArtifact(LruCache<Signature, V, SignatureHash>& cache,
                               const Signature& key, Compute compute) {
@@ -203,7 +204,7 @@ struct Engine::Impl {
     // the same mutex.  The job must not throw (enqueue contract).
     pool.enqueue([this, &cache, key, promise, compute = std::move(compute)] {
       try {
-        V value = compute();
+        V value = loadOrCompute<V>(key, compute);
         {
           std::lock_guard<std::mutex> lock(mutex);
           cache.put(key, value);
@@ -302,21 +303,23 @@ struct Engine::Impl {
 
   // --- persistent disk tier -----------------------------------------------
 
-  /// Checksum-validated disk lookup.  An entry that passes the store's
-  /// validation but fails to decode (codec version drift) is treated as a
-  /// miss; the recompute republishes under the same key.
-  template <typename T, typename Decode>
-  std::optional<T> loadArtifact(store::ArtifactKind kind, const Signature& key,
-                                Decode&& decode) {
-    if (!diskStore) return std::nullopt;
-    const std::optional<store::MappedEntry> entry = diskStore->get(kind, key);
-    if (!entry) return std::nullopt;
-    return decode(entry->payload());
-  }
-
-  void saveArtifact(store::ArtifactKind kind, const Signature& key,
-                    const std::vector<std::uint8_t>& payload) {
-    if (diskStore) diskStore->put(kind, key, payload);
+  /// The one load-or-compute ladder of every persisted artifact: a
+  /// checksum-validated disk lookup, else `compute`, whose result is
+  /// published to the disk under the same key.  The store kind and codec
+  /// come from the artifact table (store::Artifact<V>).  An entry that
+  /// passes the store's validation but fails to decode (codec version
+  /// drift) is a miss; the recompute republishes it.
+  template <typename V, typename Compute>
+  V loadOrCompute(const Signature& key, Compute&& compute) {
+    using Codec = store::Artifact<V>;
+    if (diskStore)
+      if (const std::optional<store::MappedEntry> entry =
+              diskStore->get(Codec::kind, key))
+        if (std::optional<V> cached = Codec::decode(entry->payload()))
+          return std::move(*cached);
+    V value = compute();
+    if (diskStore) diskStore->put(Codec::kind, key, Codec::encode(value));
+    return value;
   }
 
   // --- compute stages -----------------------------------------------------
@@ -325,14 +328,9 @@ struct Engine::Impl {
                                                     const PipelineOptions& po) {
     const Signature key = pipelineKey(p, po);
     return getOrCompute(pipelines, inflightPipelines, key, [&] {
-      if (std::optional<PipelineResult> cached =
-              loadArtifact<PipelineResult>(store::ArtifactKind::PipelineResult,
-                                           key, store::decodePipelineResult))
-        return std::make_shared<const PipelineResult>(std::move(*cached));
-      auto r = std::make_shared<const PipelineResult>(runPipeline(p, po));
-      saveArtifact(store::ArtifactKind::PipelineResult, key,
-                   store::encodePipelineResult(*r));
-      return r;
+      auto run = [&] { return runPipeline(p, po); };
+      return std::make_shared<const PipelineResult>(
+          loadOrCompute<PipelineResult>(key, run));
     });
   }
 
@@ -349,65 +347,6 @@ struct Engine::Impl {
                                  {.n = n, .timeSteps = timeSteps});
       return std::shared_ptr<const CachedPlan>(std::move(cp));
     });
-  }
-
-  Measurement measurementFor(const Signature& key,
-                             const ProgramVersion& version,
-                             const DataLayout& layout, std::int64_t n,
-                             std::uint64_t timeSteps,
-                             const MachineConfig& machine,
-                             const CostModel& cost) {
-    if (std::optional<Measurement> cached = loadArtifact<Measurement>(
-            store::ArtifactKind::Measurement, key, store::decodeMeasurement))
-      return *cached;
-    Measurement m =
-        computeMeasurement(version, layout, n, timeSteps, machine, cost);
-    saveArtifact(store::ArtifactKind::Measurement, key,
-                 store::encodeMeasurement(m));
-    return m;
-  }
-
-  ReuseProfile profileFor(const Signature& key, const ProgramVersion& version,
-                          const DataLayout& layout, std::int64_t n,
-                          std::uint64_t timeSteps) {
-    if (std::optional<ReuseProfile> cached = loadArtifact<ReuseProfile>(
-            store::ArtifactKind::ReuseProfile, key, store::decodeReuseProfile))
-      return *cached;
-    ReuseProfile p = computeProfile(version, layout, n, timeSteps);
-    saveArtifact(store::ArtifactKind::ReuseProfile, key,
-                 store::encodeReuseProfile(p));
-    return p;
-  }
-
-  SymbolicReuseProfile symbolicFor(const Signature& key, const Program& p,
-                                   const SymbolicReuseOptions& o) {
-    if (std::optional<SymbolicReuseProfile> cached =
-            loadArtifact<SymbolicReuseProfile>(
-                store::ArtifactKind::SymbolicProfile, key,
-                store::decodeSymbolicProfile))
-      return *cached;
-    SymbolicReuseProfile sp = analyzeSymbolicReuse(p, o);
-    saveArtifact(store::ArtifactKind::SymbolicProfile, key,
-                 store::encodeSymbolicProfile(sp));
-    return sp;
-  }
-
-  MulticoreProfile multicoreFor(const Signature& key,
-                                const ProgramVersion& version,
-                                const DataLayout& layout, std::int64_t n,
-                                std::uint64_t timeSteps,
-                                const CacheTopology& topo,
-                                const MulticoreCostModel& cost) {
-    if (std::optional<MulticoreProfile> cached =
-            loadArtifact<MulticoreProfile>(
-                store::ArtifactKind::MulticoreProfile, key,
-                store::decodeMulticoreProfile))
-      return *cached;
-    MulticoreProfile mp =
-        computeMulticore(version, layout, n, timeSteps, topo, cost);
-    saveArtifact(store::ArtifactKind::MulticoreProfile, key,
-                 store::encodeMulticoreProfile(mp));
-    return mp;
   }
 
   Measurement computeMeasurement(const ProgramVersion& version,
@@ -497,56 +436,51 @@ struct Engine::Impl {
   }
 
   Future<Reply> submitOne(MeasureTask task) {
-    DataLayout layout = task.version.layoutAt(task.n);
-    const Signature key =
-        measurementKey(task.version.program, layout, task.n, task.timeSteps,
-                       task.machine, task.cost);
-    auto taskPtr = std::make_shared<MeasureTask>(std::move(task));
-    auto layoutPtr = std::make_shared<DataLayout>(std::move(layout));
-    return asyncArtifact(measurements, key, [this, taskPtr, layoutPtr, key] {
-      return measurementFor(key, taskPtr->version, *layoutPtr, taskPtr->n,
-                            taskPtr->timeSteps, taskPtr->machine,
-                            taskPtr->cost);
-    });
+    GCR_CHECK(task.n > 0, "non-positive problem size");
+    task.machine.validate();
+    auto t = std::make_shared<const MeasureTask>(std::move(task));
+    auto layout = std::make_shared<const DataLayout>(t->version.layoutAt(t->n));
+    return asyncArtifact(
+        measurements,
+        measurementKey(t->version.program, *layout, t->n, t->timeSteps,
+                       t->machine, t->cost),
+        [this, t, layout] {
+          return computeMeasurement(t->version, *layout, t->n, t->timeSteps,
+                                    t->machine, t->cost);
+        });
   }
 
   Future<Reply> submitOne(ReuseTask task) {
-    DataLayout layout = task.version.layoutAt(task.n);
-    const Signature key =
-        profileKey(task.version.program, layout, task.n, task.timeSteps);
-    auto taskPtr = std::make_shared<ReuseTask>(std::move(task));
-    auto layoutPtr = std::make_shared<DataLayout>(std::move(layout));
-    return asyncArtifact(profiles, key, [this, taskPtr, layoutPtr, key] {
-      return profileFor(key, taskPtr->version, *layoutPtr, taskPtr->n,
-                        taskPtr->timeSteps);
-    });
+    GCR_CHECK(task.n > 0, "non-positive problem size");
+    auto t = std::make_shared<const ReuseTask>(std::move(task));
+    auto layout = std::make_shared<const DataLayout>(t->version.layoutAt(t->n));
+    return asyncArtifact(
+        profiles, profileKey(t->version.program, *layout, t->n, t->timeSteps),
+        [this, t, layout] {
+          return computeProfile(t->version, *layout, t->n, t->timeSteps);
+        });
   }
 
   Future<Reply> submitOne(SymbolicProfileRequest request) {
-    const Signature key = symbolicKey(request.program, request.options);
-    auto reqPtr = std::make_shared<SymbolicProfileRequest>(std::move(request));
-    return asyncArtifact(symbolics, key, [this, reqPtr, key] {
-      return symbolicFor(key, reqPtr->program, reqPtr->options);
+    auto r = std::make_shared<const SymbolicProfileRequest>(std::move(request));
+    return asyncArtifact(symbolics, symbolicKey(r->program, r->options), [r] {
+      return analyzeSymbolicReuse(r->program, r->options);
     });
   }
 
   Future<Reply> submitOne(MulticoreTask task) {
-    DataLayout layout = task.version.layoutAt(task.n);
-    const Signature key =
-        multicoreKey(task.version.program, layout, task.n, task.timeSteps,
-                     task.topology, task.cost);
-    auto taskPtr = std::make_shared<MulticoreTask>(std::move(task));
-    auto layoutPtr = std::make_shared<DataLayout>(std::move(layout));
-    return asyncArtifact(multicores, key, [this, taskPtr, layoutPtr, key] {
-      return computeOrLoadMulticore(key, *taskPtr, *layoutPtr);
-    });
-  }
-
-  MulticoreProfile computeOrLoadMulticore(const Signature& key,
-                                          const MulticoreTask& t,
-                                          const DataLayout& layout) {
-    return multicoreFor(key, t.version, layout, t.n, t.timeSteps, t.topology,
-                        t.cost);
+    GCR_CHECK(task.n > 0, "non-positive problem size");
+    task.topology.validate();
+    auto t = std::make_shared<const MulticoreTask>(std::move(task));
+    auto layout = std::make_shared<const DataLayout>(t->version.layoutAt(t->n));
+    return asyncArtifact(
+        multicores,
+        multicoreKey(t->version.program, *layout, t->n, t->timeSteps,
+                     t->topology, t->cost),
+        [this, t, layout] {
+          return computeMulticore(t->version, *layout, t->n, t->timeSteps,
+                                  t->topology, t->cost);
+        });
   }
 };
 
@@ -569,22 +503,25 @@ ProgramVersion Engine::version(const Program& p, Strategy strategy,
 Measurement Engine::measure(const ProgramVersion& version, std::int64_t n,
                             const MachineConfig& machine,
                             std::uint64_t timeSteps, const CostModel& cost) {
+  GCR_CHECK(n > 0, "non-positive problem size");
+  machine.validate();
   const DataLayout layout = version.layoutAt(n);
   const Signature key = Impl::measurementKey(version.program, layout, n,
                                              timeSteps, machine, cost);
   return impl_->syncArtifact(impl_->measurements, key, [&] {
-    return impl_->measurementFor(key, version, layout, n, timeSteps, machine,
-                                 cost);
+    return impl_->computeMeasurement(version, layout, n, timeSteps, machine,
+                                     cost);
   });
 }
 
 ReuseProfile Engine::reuseProfile(const ProgramVersion& version,
                                   std::int64_t n, std::uint64_t timeSteps) {
+  GCR_CHECK(n > 0, "non-positive problem size");
   const DataLayout layout = version.layoutAt(n);
   const Signature key =
       impl_->profileKey(version.program, layout, n, timeSteps);
   return impl_->syncArtifact(impl_->profiles, key, [&] {
-    return impl_->profileFor(key, version, layout, n, timeSteps);
+    return impl_->computeProfile(version, layout, n, timeSteps);
   });
 }
 
@@ -592,7 +529,7 @@ SymbolicReuseProfile Engine::symbolicProfile(const Program& p,
                                              const SymbolicReuseOptions& opts) {
   const Signature key = Impl::symbolicKey(p, opts);
   return impl_->syncArtifact(impl_->symbolics, key,
-                             [&] { return impl_->symbolicFor(key, p, opts); });
+                             [&] { return analyzeSymbolicReuse(p, opts); });
 }
 
 MulticoreProfile Engine::multicoreProfile(const ProgramVersion& version,
@@ -600,12 +537,14 @@ MulticoreProfile Engine::multicoreProfile(const ProgramVersion& version,
                                           const CacheTopology& topology,
                                           std::uint64_t timeSteps,
                                           const MulticoreCostModel& cost) {
+  GCR_CHECK(n > 0, "non-positive problem size");
+  topology.validate();
   const DataLayout layout = version.layoutAt(n);
   const Signature key = Impl::multicoreKey(version.program, layout, n,
                                            timeSteps, topology, cost);
   return impl_->syncArtifact(impl_->multicores, key, [&] {
-    return impl_->multicoreFor(key, version, layout, n, timeSteps, topology,
-                               cost);
+    return impl_->computeMulticore(version, layout, n, timeSteps, topology,
+                                   cost);
   });
 }
 
@@ -616,6 +555,25 @@ Future<Reply> Engine::submit(Request request) {
         return impl.submitOne(std::move(alternative));
       },
       std::move(request));
+}
+
+Reply Engine::run(Request request) {
+  return std::visit(
+      [this](auto& r) -> Reply {
+        using R = std::decay_t<decltype(r)>;
+        if constexpr (std::is_same_v<R, PipelineRequest>)
+          return pipeline(r.program, r.options);
+        else if constexpr (std::is_same_v<R, MeasureTask>)
+          return measure(r.version, r.n, r.machine, r.timeSteps, r.cost);
+        else if constexpr (std::is_same_v<R, ReuseTask>)
+          return reuseProfile(r.version, r.n, r.timeSteps);
+        else if constexpr (std::is_same_v<R, SymbolicProfileRequest>)
+          return symbolicProfile(r.program, r.options);
+        else
+          return multicoreProfile(r.version, r.n, r.topology, r.timeSteps,
+                                  r.cost);
+      },
+      request);
 }
 
 std::vector<Measurement> Engine::measureAll(

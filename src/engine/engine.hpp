@@ -23,10 +23,11 @@
 //   2. An async batch scheduler behind ONE entry point: submit(Request)
 //      returns immediately with a Future<Reply>; the work runs on the
 //      session's thread pool.  Request is the tagged variant of every work
-//      kind (engine/request.hpp) — its tag doubles as the store's
-//      ArtifactKind and the server's wire message kind, so adding an
-//      artifact extends one enum, not three APIs.  Identical in-flight work
-//      is deduplicated across the async and synchronous paths (two
+//      kind (engine/request.hpp).  Each result type has one row in the
+//      artifact table (store::Artifact in store/codec.hpp) naming its store
+//      ArtifactKind and codec; the server's wire half of the table
+//      (server::WireArtifact) adds its message kinds.  Identical in-flight
+//      work is deduplicated across the async and synchronous paths (two
 //      submissions of the same signature share one computation), and each
 //      task resolves its dependencies through the caches stage by stage —
 //      pipeline, then compiled plan, then simulation — so a sweep over
@@ -50,12 +51,13 @@
 // Persistent disk tier: with EngineConfig::cacheDir (or the GCR_CACHE_DIR
 // environment variable) set, the in-memory caches are backed by an on-disk
 // content-addressed artifact store (store/store.hpp).  A miss in memory
-// consults the disk before computing; a fresh computation is published to
-// both tiers.  Stored values are returned verbatim — a cold *process* with
-// a warm *disk* reproduces the original results bit-for-bit, wall-clock
-// fields included — and any disk-level corruption degrades to a recompute,
-// never a wrong result.  Compiled plans are never persisted (they borrow
-// in-memory pointers and are cheap to rebuild).
+// runs one load-or-compute ladder for every artifact kind: consult the
+// disk, else compute, then publish to both tiers.  Stored values are
+// returned verbatim — a cold *process* with a warm *disk* reproduces the
+// original results bit-for-bit, wall-clock fields included — and any
+// disk-level corruption degrades to a recompute, never a wrong result.
+// Compiled plans are never persisted (they borrow in-memory pointers and
+// are cheap to rebuild).
 #pragma once
 
 #include <cstdint>
@@ -143,8 +145,20 @@ class Engine {
   /// (engine/request.hpp), and the reply holds the same-index alternative —
   /// read it with replyAs<T>().  A duplicate of a cached result resolves
   /// instantly; a duplicate of an in-flight submission (async or
-  /// synchronous) shares its computation.
+  /// synchronous) shares its computation.  Throws gcr::Error before
+  /// scheduling anything when a task's problem size or its machine or
+  /// topology geometry is non-positive (MachineConfig::validate(),
+  /// CacheTopology::validate()); measure(), reuseProfile() and
+  /// multicoreProfile() reject the same inputs.
   Future<Reply> submit(Request request);
+
+  /// submit()'s synchronous twin: runs `request` on the calling thread
+  /// through the synchronous façade above (same caches, in-flight
+  /// coalescing, disk tier and validation) and returns the same-index Reply
+  /// alternative.  For a caller that would block on submit().get() anyway,
+  /// such as a gcr-server connection, it keeps the work and its allocations
+  /// on that thread instead of handing them to a pool worker.
+  Reply run(Request request);
 
   /// Batch measure with slot-per-task determinism: result i belongs to
   /// tasks[i] for any thread count; adds memoization and in-flight

@@ -2,10 +2,11 @@
 //
 // Every kind of work an Engine schedules is one alternative of the tagged
 // gcr::Request variant; the matching result is the same-index alternative of
-// gcr::Reply.  The tag is shared across layers: requestKind() maps each
-// alternative to the store::ArtifactKind the result persists under, and the
-// gcr-server wire protocol derives its message kinds from the same enum —
-// one artifact taxonomy for the API, the disk tier and the wire.
+// gcr::Reply.  Each Reply alternative has one row in the artifact table,
+// store::Artifact<T> (store/codec.hpp): the ArtifactKind it persists under
+// and its codec.  requestKind() reads that table, and so does the server,
+// whose wire half of the table (server::WireArtifact) adds each served
+// artifact's request and reply message kinds.
 //
 // Request and Reply are move-only (Program is move-only); clone() into a
 // request.  A Reply obtained from Future<Reply>::get() is shared with every
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <variant>
 
 #include "analysis/symbolic_reuse.hpp"
@@ -20,7 +22,7 @@
 #include "driver/measure.hpp"
 #include "driver/pipeline.hpp"
 #include "locality/multicore.hpp"
-#include "store/format.hpp"
+#include "store/codec.hpp"
 #include "support/assert.hpp"
 
 namespace gcr {
@@ -60,28 +62,14 @@ using Request = std::variant<PipelineRequest, MeasureTask, ReuseTask,
 using Reply = std::variant<PipelineResult, Measurement, ReuseProfile,
                            SymbolicReuseProfile, MulticoreProfile>;
 
-/// The artifact kind a request's result is content-addressed under — the one
-/// artifact taxonomy shared by the API, the persistent store and the server
-/// wire protocol.
+/// The artifact kind a request's result is content-addressed under, read
+/// from the artifact table row of the same-index Reply alternative.
 inline store::ArtifactKind requestKind(const Request& r) {
-  struct Visitor {
-    store::ArtifactKind operator()(const PipelineRequest&) const {
-      return store::ArtifactKind::PipelineResult;
-    }
-    store::ArtifactKind operator()(const MeasureTask&) const {
-      return store::ArtifactKind::Measurement;
-    }
-    store::ArtifactKind operator()(const ReuseTask&) const {
-      return store::ArtifactKind::ReuseProfile;
-    }
-    store::ArtifactKind operator()(const SymbolicProfileRequest&) const {
-      return store::ArtifactKind::SymbolicProfile;
-    }
-    store::ArtifactKind operator()(const MulticoreTask&) const {
-      return store::ArtifactKind::MulticoreProfile;
-    }
-  };
-  return std::visit(Visitor{}, r);
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    constexpr store::ArtifactKind kinds[] = {
+        store::Artifact<std::variant_alternative_t<I, Reply>>::kind...};
+    return kinds[r.index()];
+  }(std::make_index_sequence<std::variant_size_v<Reply>>{});
 }
 
 /// Checked accessor: the reply's T alternative, or gcr::Error when the reply

@@ -36,7 +36,8 @@ struct Client::Impl {
       return out;
     }
     if (r.header.kind == MsgKind::ReplyError) {
-      const std::optional<ErrorReply> err = decodeErrorReply(r.payload);
+      const std::optional<ErrorReply> err =
+          decodePayload<ErrorReply>(r.payload);
       if (err) {
         out.error = err->code;
         out.message = err->message;
@@ -58,6 +59,15 @@ struct Client::Impl {
     out.value = std::move(value);
     return out;
   }
+
+  /// An artifact request: message kinds, request codec and reply decoder
+  /// all come from the artifact table.
+  template <typename T>
+  Result<T> work(const typename WireArtifact<T>::Message& req) {
+    using Wire = WireArtifact<T>;
+    return exchange<T>(Wire::request, encodePayload(req), Wire::reply,
+                       store::Artifact<T>::decode);
+  }
 };
 
 Client::Client() = default;
@@ -75,8 +85,8 @@ std::unique_ptr<Client> Client::connect(const std::string& address,
   if (impl->fd < 0) return fail("cannot connect to " + address);
 
   const Result<HelloReply> hello = impl->exchange<HelloReply>(
-      MsgKind::Hello, encodeHelloRequest(HelloRequest{tenant}),
-      MsgKind::ReplyHello, decodeHelloReply);
+      MsgKind::Hello, encodePayload(HelloRequest{tenant}),
+      MsgKind::ReplyHello, decodePayload<HelloReply>);
   if (!hello.ok())
     return fail("handshake failed: " + hello.message);
   if (hello->protocolVersion != kProtocolVersion)
@@ -89,40 +99,30 @@ std::unique_ptr<Client> Client::connect(const std::string& address,
 }
 
 Result<PipelineResult> Client::optimize(const OptimizeRequest& req) {
-  return impl_->exchange<PipelineResult>(
-      MsgKind::Optimize, encodeOptimizeRequest(req), MsgKind::ReplyOptimize,
-      store::decodePipelineResult);
+  return impl_->work<PipelineResult>(req);
 }
 
 Result<Measurement> Client::measure(const MeasureRequest& req) {
-  return impl_->exchange<Measurement>(MsgKind::Measure,
-                                      encodeMeasureRequest(req),
-                                      MsgKind::ReplyMeasure,
-                                      store::decodeMeasurement);
+  return impl_->work<Measurement>(req);
 }
 
 Result<ReuseProfile> Client::profile(const ProfileRequest& req) {
-  return impl_->exchange<ReuseProfile>(MsgKind::Profile,
-                                       encodeProfileRequest(req),
-                                       MsgKind::ReplyProfile,
-                                       store::decodeReuseProfile);
+  return impl_->work<ReuseProfile>(req);
 }
 
 Result<MulticoreProfile> Client::multicore(const MulticoreRequest& req) {
-  return impl_->exchange<MulticoreProfile>(
-      MsgKind::Multicore, encodeMulticoreRequest(req), MsgKind::ReplyMulticore,
-      store::decodeMulticoreProfile);
+  return impl_->work<MulticoreProfile>(req);
 }
 
 Result<VerifyReply> Client::verify(const VerifyRequest& req) {
-  return impl_->exchange<VerifyReply>(MsgKind::Verify,
-                                      encodeVerifyRequest(req),
-                                      MsgKind::ReplyVerify, decodeVerifyReply);
+  return impl_->exchange<VerifyReply>(MsgKind::Verify, encodePayload(req),
+                                      MsgKind::ReplyVerify,
+                                      decodePayload<VerifyReply>);
 }
 
 Result<StatsReply> Client::stats() {
   return impl_->exchange<StatsReply>(MsgKind::Stats, {}, MsgKind::ReplyStats,
-                                     decodeStatsReply);
+                                     decodePayload<StatsReply>);
 }
 
 const std::vector<std::uint8_t>& Client::lastPayload() const {

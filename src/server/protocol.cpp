@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <concepts>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -23,124 +25,190 @@ namespace {
 // v3: MulticoreRequest added; StatsReply gained the multicore cache
 //     counters.
 // v4: StatsReply dropped the seven native-tier counters (tier removed).
-constexpr std::uint32_t kCodecVersion = 4;
+// v5: MulticoreRequest gained the multicore cost model.
+constexpr std::uint32_t kCodecVersion = 5;
 
-/// Decode wrapper: version word, body, exact-length check, gcr::Error →
-/// nullopt.  The ByteReader bounds-checks every access, so arbitrary byte
-/// soup can fail but never over-read.
-template <typename T, typename Body>
-std::optional<T> decodeWith(std::span<const std::uint8_t> bytes, Body&& body) {
-  try {
-    ByteReader r(bytes);
-    if (r.u32() != kCodecVersion) return std::nullopt;
-    T value = body(r);
-    if (!r.atEnd()) return std::nullopt;  // trailing bytes are corruption
-    return value;
-  } catch (const Error&) {
-    return std::nullopt;
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+// --- field lists ------------------------------------------------------------
+// Each payload struct lists its fields once, in wire order.  Put writes the
+// list and Get reads it back, so an encoder and its decoder cannot drift
+// apart.  int fields travel as u32, 64-bit integers as i64/u64, enums as
+// u32, a vector as a u64 count and its elements.
+
+/// Writes each field.
+struct Put {
+  ByteWriter& w;
+
+  template <typename... Ts>
+  void operator()(const Ts&... fields) {
+    (one(fields), ...);
   }
-}
+  template <typename E>
+  void bounded(E e, E) {
+    one(e);
+  }
 
-void putCacheConfig(ByteWriter& w, const CacheConfig& c) {
-  w.i64(c.sizeBytes).i64(c.lineSize).u32(static_cast<std::uint32_t>(c.ways));
-  w.str(c.name);
-}
+  void one(std::int64_t v) { w.i64(v); }
+  void one(std::uint64_t v) { w.u64(v); }
+  void one(int v) { w.u32(static_cast<std::uint32_t>(v)); }
+  void one(std::uint32_t v) { w.u32(v); }
+  void one(double v) { w.f64(v); }
+  void one(bool v) { w.b(v); }
+  void one(const std::string& v) { w.str(v); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void one(E e) {
+    w.u32(static_cast<std::uint32_t>(e));
+  }
+  template <typename T>
+  void one(const std::vector<T>& v) {
+    w.u64(v.size());
+    for (const T& x : v) one(x);
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void one(const T& v) {
+    fields(*this, v);
+  }
+};
 
-CacheConfig getCacheConfig(ByteReader& r) {
-  CacheConfig c;
-  c.sizeBytes = r.i64();
-  c.lineSize = r.i64();
-  c.ways = static_cast<int>(r.u32());
-  c.name = r.str();
-  return c;
-}
+/// Reads each field back.  A truncated input, a count that cannot fit, or
+/// an enum past its bound throws gcr::Error, which decodeWith() turns into
+/// nullopt.
+struct Get {
+  ByteReader& r;
 
-void putMachine(ByteWriter& w, const MachineConfig& m) {
-  putCacheConfig(w, m.l1);
-  putCacheConfig(w, m.l2);
-  w.u32(static_cast<std::uint32_t>(m.tlbEntries));
-  w.i64(m.pageSize);
-  w.b(m.l2NextLinePrefetch);
-  w.str(m.name);
-}
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (one(fields), ...);
+  }
+  template <typename E>
+  void bounded(E& e, E last) {
+    const std::uint32_t v = r.u32();
+    GCR_CHECK(v <= static_cast<std::uint32_t>(last), "enum out of range");
+    e = static_cast<E>(v);
+  }
 
-MachineConfig getMachine(ByteReader& r) {
-  MachineConfig m;
-  m.l1 = getCacheConfig(r);
-  m.l2 = getCacheConfig(r);
-  m.tlbEntries = static_cast<int>(r.u32());
-  m.pageSize = r.i64();
-  m.l2NextLinePrefetch = r.b();
-  m.name = r.str();
-  return m;
-}
+  void one(std::int64_t& v) { v = r.i64(); }
+  void one(std::uint64_t& v) { v = r.u64(); }
+  void one(int& v) { v = static_cast<int>(r.u32()); }
+  void one(std::uint32_t& v) { v = r.u32(); }
+  void one(double& v) { v = r.f64(); }
+  void one(bool& v) { v = r.b(); }
+  void one(std::string& v) { v = r.str(); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void one(E& e) {
+    e = static_cast<E>(r.u32());
+  }
+  template <typename T>
+  void one(std::vector<T>& v) {
+    // Every element type on the wire is at least 8 bytes (a string's
+    // length prefix or a u64), so a count that cannot fit throws before
+    // anything is allocated.
+    const std::size_t n = r.seqLen(8);
+    for (std::size_t i = 0; i < n; ++i) one(v.emplace_back());
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void one(T& v) {
+    fields(*this, v);
+  }
+};
 
-void putCost(ByteWriter& w, const CostModel& c) {
-  w.f64(c.refCost).f64(c.l1MissCost).f64(c.l2MissCost).f64(c.tlbMissCost);
+template <typename IO>
+void fields(IO& io, Is<CacheConfig> auto& c) {
+  io(c.sizeBytes, c.lineSize, c.ways, c.name);
 }
-
-CostModel getCost(ByteReader& r) {
-  CostModel c;
-  c.refCost = r.f64();
-  c.l1MissCost = r.f64();
-  c.l2MissCost = r.f64();
-  c.tlbMissCost = r.f64();
-  return c;
+template <typename IO>
+void fields(IO& io, Is<MachineConfig> auto& m) {
+  io(m.l1, m.l2, m.tlbEntries, m.pageSize, m.l2NextLinePrefetch, m.name);
 }
-
-void putWorkSpec(ByteWriter& w, const WorkSpec& s) {
-  w.str(s.app);
-  w.u32(static_cast<std::uint32_t>(s.strategy));
-  w.u32(static_cast<std::uint32_t>(s.fusionLevels));
-  w.i64(s.padBytes);
+template <typename IO>
+void fields(IO& io, Is<CostModel> auto& c) {
+  io(c.refCost, c.l1MissCost, c.l2MissCost, c.tlbMissCost);
 }
-
-std::optional<WorkSpec> getWorkSpec(ByteReader& r) {
-  WorkSpec s;
-  s.app = r.str();
-  const std::uint32_t strategy = r.u32();
-  if (strategy > static_cast<std::uint32_t>(Strategy::RegroupedOnly))
-    return std::nullopt;
-  s.strategy = static_cast<Strategy>(strategy);
-  s.fusionLevels = static_cast<std::int32_t>(r.u32());
-  s.padBytes = r.i64();
-  return s;
+template <typename IO>
+void fields(IO& io, Is<MulticoreCostModel> auto& c) {
+  io(c.refCost, c.l2HitCost, c.llcHitCost, c.memoryCost);
 }
-
-void putTopology(ByteWriter& w, const CacheTopology& t) {
-  w.u32(static_cast<std::uint32_t>(t.cores));
-  w.u32(static_cast<std::uint32_t>(t.schedule));
-  putCacheConfig(w, t.l1);
-  putCacheConfig(w, t.l2);
-  putCacheConfig(w, t.llc);
-  w.str(t.name);
+template <typename IO>
+void fields(IO& io, Is<CacheTopology> auto& t) {
+  io(t.cores);
+  io.bounded(t.schedule, ParallelSchedule::Cyclic);
+  io(t.l1, t.l2, t.llc, t.name);
 }
-
-std::optional<CacheTopology> getTopology(ByteReader& r) {
-  CacheTopology t;
-  t.cores = static_cast<int>(r.u32());
-  const std::uint32_t sched = r.u32();
-  if (sched > static_cast<std::uint32_t>(ParallelSchedule::Cyclic))
-    return std::nullopt;
-  t.schedule = static_cast<ParallelSchedule>(sched);
-  t.l1 = getCacheConfig(r);
-  t.l2 = getCacheConfig(r);
-  t.llc = getCacheConfig(r);
-  t.name = r.str();
-  return t;
+template <typename IO>
+void fields(IO& io, Is<WorkSpec> auto& s) {
+  io(s.app);
+  io.bounded(s.strategy, Strategy::RegroupedOnly);
+  io(s.fusionLevels, s.padBytes);
 }
-
-void putCacheCounters(ByteWriter& w, const CacheCounters& c) {
-  w.u64(c.hits).u64(c.misses).u64(c.evictions).u64(c.entries);
+template <typename IO>
+void fields(IO& io, Is<HelloRequest> auto& h) {
+  io(h.tenant);
 }
-
-CacheCounters getCacheCounters(ByteReader& r) {
-  CacheCounters c;
-  c.hits = r.u64();
-  c.misses = r.u64();
-  c.evictions = r.u64();
-  c.entries = r.u64();
-  return c;
+template <typename IO>
+void fields(IO& io, Is<OptimizeRequest> auto& o) {
+  io(o.spec);
+}
+template <typename IO>
+void fields(IO& io, Is<MeasureRequest> auto& m) {
+  io(m.spec, m.n, m.timeSteps, m.machine, m.cost);
+}
+template <typename IO>
+void fields(IO& io, Is<ProfileRequest> auto& p) {
+  io(p.spec, p.n, p.timeSteps);
+}
+template <typename IO>
+void fields(IO& io, Is<VerifyRequest> auto& v) {
+  io(v.app, v.minN);
+}
+template <typename IO>
+void fields(IO& io, Is<MulticoreRequest> auto& m) {
+  io(m.spec, m.n, m.timeSteps, m.topology, m.cost);
+}
+template <typename IO>
+void fields(IO& io, Is<HelloReply> auto& h) {
+  io(h.protocolVersion, h.serverName);
+}
+template <typename IO>
+void fields(IO& io, Is<ErrorReply> auto& e) {
+  io(e.code, e.message);
+}
+template <typename IO>
+void fields(IO& io, Is<VerifyReply> auto& v) {
+  io(v.notes, v.warnings, v.errors, v.diagnostics);
+}
+template <typename IO>
+void fields(IO& io, Is<TenantStats> auto& t) {
+  io(t.tenant, t.admitted, t.busyRejected);
+}
+template <typename IO>
+void fields(IO& io, Is<ServerCounters> auto& c) {
+  io(c.connectionsAccepted, c.connectionsRejected, c.requestsAdmitted,
+     c.requestsBusyRejected, c.requestsErrored, c.framingErrors,
+     c.repliesSent, c.draining);
+}
+template <typename IO>
+void fields(IO& io, Is<CacheCounters> auto& c) {
+  io(c.hits, c.misses, c.evictions, c.entries);
+}
+template <typename IO>
+void fields(IO& io, Is<store::StoreCounters> auto& s) {
+  io(s.hits, s.misses, s.puts, s.putFailures, s.corruptRejected,
+     s.evictions, s.bytesLoaded, s.bytesStored);
+}
+template <typename IO>
+void fields(IO& io, Is<Engine::Stats> auto& e) {
+  io(e.pipeline, e.plan, e.measurement, e.profile, e.symbolic, e.multicore,
+     e.inflightCoalesced, e.store);
+}
+template <typename IO>
+void fields(IO& io, Is<StatsReply> auto& r) {
+  io(r.server, r.tenants, r.engine, r.cacheDir);
 }
 
 /// Read exactly n bytes; 1 = ok, 0 = clean EOF before any byte, -1 = error
@@ -217,271 +285,53 @@ std::optional<FrameHeader> decodeFrameHeader(
   }
 }
 
-// --- request codecs ---------------------------------------------------------
+// --- payload codecs ---------------------------------------------------------
 
-std::vector<std::uint8_t> encodeHelloRequest(const HelloRequest& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion).str(r.tenant);
-  return w.take();
-}
-
-std::optional<HelloRequest> decodeHelloRequest(
-    std::span<const std::uint8_t> bytes) {
-  return decodeWith<HelloRequest>(bytes, [](ByteReader& r) {
-    HelloRequest h;
-    h.tenant = r.str();
-    return h;
-  });
-}
-
-std::vector<std::uint8_t> encodeOptimizeRequest(const OptimizeRequest& r) {
+template <typename T>
+std::vector<std::uint8_t> encodePayload(const T& msg) {
   ByteWriter w;
   w.u32(kCodecVersion);
-  putWorkSpec(w, r.spec);
+  Put{w}(msg);
   return w.take();
 }
 
-std::optional<OptimizeRequest> decodeOptimizeRequest(
-    std::span<const std::uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    if (r.u32() != kCodecVersion) return std::nullopt;
-    std::optional<WorkSpec> spec = getWorkSpec(r);
-    if (!spec || !r.atEnd()) return std::nullopt;
-    return OptimizeRequest{*spec};
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
-std::vector<std::uint8_t> encodeMeasureRequest(const MeasureRequest& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion);
-  putWorkSpec(w, r.spec);
-  w.i64(r.n).u64(r.timeSteps);
-  putMachine(w, r.machine);
-  putCost(w, r.cost);
-  return w.take();
-}
-
-std::optional<MeasureRequest> decodeMeasureRequest(
-    std::span<const std::uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    if (r.u32() != kCodecVersion) return std::nullopt;
-    MeasureRequest m;
-    std::optional<WorkSpec> spec = getWorkSpec(r);
-    if (!spec) return std::nullopt;
-    m.spec = std::move(*spec);
-    m.n = r.i64();
-    m.timeSteps = r.u64();
-    m.machine = getMachine(r);
-    m.cost = getCost(r);
-    if (!r.atEnd()) return std::nullopt;
-    return m;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
-std::vector<std::uint8_t> encodeProfileRequest(const ProfileRequest& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion);
-  putWorkSpec(w, r.spec);
-  w.i64(r.n).u64(r.timeSteps);
-  return w.take();
-}
-
-std::optional<ProfileRequest> decodeProfileRequest(
-    std::span<const std::uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    if (r.u32() != kCodecVersion) return std::nullopt;
-    ProfileRequest p;
-    std::optional<WorkSpec> spec = getWorkSpec(r);
-    if (!spec) return std::nullopt;
-    p.spec = std::move(*spec);
-    p.n = r.i64();
-    p.timeSteps = r.u64();
-    if (!r.atEnd()) return std::nullopt;
-    return p;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
-std::vector<std::uint8_t> encodeMulticoreRequest(const MulticoreRequest& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion);
-  putWorkSpec(w, r.spec);
-  w.i64(r.n).u64(r.timeSteps);
-  putTopology(w, r.topology);
-  return w.take();
-}
-
-std::optional<MulticoreRequest> decodeMulticoreRequest(
-    std::span<const std::uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    if (r.u32() != kCodecVersion) return std::nullopt;
-    MulticoreRequest m;
-    std::optional<WorkSpec> spec = getWorkSpec(r);
-    if (!spec) return std::nullopt;
-    m.spec = std::move(*spec);
-    m.n = r.i64();
-    m.timeSteps = r.u64();
-    std::optional<CacheTopology> topo = getTopology(r);
-    if (!topo) return std::nullopt;
-    m.topology = std::move(*topo);
-    if (!r.atEnd()) return std::nullopt;
-    return m;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
-std::vector<std::uint8_t> encodeVerifyRequest(const VerifyRequest& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion).str(r.app).i64(r.minN);
-  return w.take();
-}
-
-std::optional<VerifyRequest> decodeVerifyRequest(
-    std::span<const std::uint8_t> bytes) {
-  return decodeWith<VerifyRequest>(bytes, [](ByteReader& r) {
-    VerifyRequest v;
-    v.app = r.str();
-    v.minN = r.i64();
-    return v;
+template <typename T>
+std::optional<T> decodePayload(std::span<const std::uint8_t> bytes) {
+  return decodeWith<T>(bytes, kCodecVersion, [](ByteReader& r) {
+    T msg;
+    Get{r}(msg);
+    return msg;
   });
 }
 
-// --- reply codecs -----------------------------------------------------------
-
-std::vector<std::uint8_t> encodeHelloReply(const HelloReply& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion).u32(r.protocolVersion).str(r.serverName);
-  return w.take();
-}
-
-std::optional<HelloReply> decodeHelloReply(
-    std::span<const std::uint8_t> bytes) {
-  return decodeWith<HelloReply>(bytes, [](ByteReader& r) {
-    HelloReply h;
-    h.protocolVersion = r.u32();
-    h.serverName = r.str();
-    return h;
-  });
-}
-
-std::vector<std::uint8_t> encodeErrorReply(const ErrorReply& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion).u32(static_cast<std::uint32_t>(r.code)).str(r.message);
-  return w.take();
-}
-
-std::optional<ErrorReply> decodeErrorReply(
-    std::span<const std::uint8_t> bytes) {
-  return decodeWith<ErrorReply>(bytes, [](ByteReader& r) {
-    ErrorReply e;
-    e.code = static_cast<ErrorCode>(r.u32());
-    e.message = r.str();
-    return e;
-  });
-}
-
-std::vector<std::uint8_t> encodeVerifyReply(const VerifyReply& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion).u32(r.notes).u32(r.warnings).u32(r.errors);
-  w.u64(r.diagnostics.size());
-  for (const std::string& d : r.diagnostics) w.str(d);
-  return w.take();
-}
-
-std::optional<VerifyReply> decodeVerifyReply(
-    std::span<const std::uint8_t> bytes) {
-  return decodeWith<VerifyReply>(bytes, [](ByteReader& r) {
-    VerifyReply v;
-    v.notes = r.u32();
-    v.warnings = r.u32();
-    v.errors = r.u32();
-    const std::size_t count = r.seqLen(8);  // str = u64 prefix minimum
-    v.diagnostics.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) v.diagnostics.push_back(r.str());
-    return v;
-  });
-}
-
-std::vector<std::uint8_t> encodeStatsReply(const StatsReply& r) {
-  ByteWriter w;
-  w.u32(kCodecVersion);
-  w.u64(r.server.connectionsAccepted)
-      .u64(r.server.connectionsRejected)
-      .u64(r.server.requestsAdmitted)
-      .u64(r.server.requestsBusyRejected)
-      .u64(r.server.requestsErrored)
-      .u64(r.server.framingErrors)
-      .u64(r.server.repliesSent)
-      .b(r.server.draining);
-  w.u64(r.tenants.size());
-  for (const TenantStats& t : r.tenants)
-    w.str(t.tenant), w.u64(t.admitted).u64(t.busyRejected);
-  putCacheCounters(w, r.engine.pipeline);
-  putCacheCounters(w, r.engine.plan);
-  putCacheCounters(w, r.engine.measurement);
-  putCacheCounters(w, r.engine.profile);
-  putCacheCounters(w, r.engine.symbolic);
-  putCacheCounters(w, r.engine.multicore);
-  w.u64(r.engine.inflightCoalesced);
-  const store::StoreCounters& s = r.engine.store;
-  w.u64(s.hits).u64(s.misses).u64(s.puts).u64(s.putFailures);
-  w.u64(s.corruptRejected).u64(s.evictions).u64(s.bytesLoaded);
-  w.u64(s.bytesStored);
-  w.str(r.cacheDir);
-  return w.take();
-}
-
-std::optional<StatsReply> decodeStatsReply(
-    std::span<const std::uint8_t> bytes) {
-  return decodeWith<StatsReply>(bytes, [](ByteReader& r) {
-    StatsReply out;
-    out.server.connectionsAccepted = r.u64();
-    out.server.connectionsRejected = r.u64();
-    out.server.requestsAdmitted = r.u64();
-    out.server.requestsBusyRejected = r.u64();
-    out.server.requestsErrored = r.u64();
-    out.server.framingErrors = r.u64();
-    out.server.repliesSent = r.u64();
-    out.server.draining = r.b();
-    const std::size_t tenants = r.seqLen(8 + 8 + 8);
-    out.tenants.reserve(tenants);
-    for (std::size_t i = 0; i < tenants; ++i) {
-      TenantStats t;
-      t.tenant = r.str();
-      t.admitted = r.u64();
-      t.busyRejected = r.u64();
-      out.tenants.push_back(std::move(t));
-    }
-    out.engine.pipeline = getCacheCounters(r);
-    out.engine.plan = getCacheCounters(r);
-    out.engine.measurement = getCacheCounters(r);
-    out.engine.profile = getCacheCounters(r);
-    out.engine.symbolic = getCacheCounters(r);
-    out.engine.multicore = getCacheCounters(r);
-    out.engine.inflightCoalesced = r.u64();
-    store::StoreCounters& s = out.engine.store;
-    s.hits = r.u64();
-    s.misses = r.u64();
-    s.puts = r.u64();
-    s.putFailures = r.u64();
-    s.corruptRejected = r.u64();
-    s.evictions = r.u64();
-    s.bytesLoaded = r.u64();
-    s.bytesStored = r.u64();
-    out.cacheDir = r.str();
-    return out;
-  });
-}
+// Every payload type of protocol.hpp.
+template std::vector<std::uint8_t> encodePayload(const HelloRequest&);
+template std::vector<std::uint8_t> encodePayload(const OptimizeRequest&);
+template std::vector<std::uint8_t> encodePayload(const MeasureRequest&);
+template std::vector<std::uint8_t> encodePayload(const ProfileRequest&);
+template std::vector<std::uint8_t> encodePayload(const VerifyRequest&);
+template std::vector<std::uint8_t> encodePayload(const MulticoreRequest&);
+template std::vector<std::uint8_t> encodePayload(const HelloReply&);
+template std::vector<std::uint8_t> encodePayload(const ErrorReply&);
+template std::vector<std::uint8_t> encodePayload(const VerifyReply&);
+template std::vector<std::uint8_t> encodePayload(const StatsReply&);
+template std::optional<HelloRequest> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<OptimizeRequest> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<MeasureRequest> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<ProfileRequest> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<VerifyRequest> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<MulticoreRequest> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<HelloReply> decodePayload(std::span<const std::uint8_t>);
+template std::optional<ErrorReply> decodePayload(std::span<const std::uint8_t>);
+template std::optional<VerifyReply> decodePayload(
+    std::span<const std::uint8_t>);
+template std::optional<StatsReply> decodePayload(std::span<const std::uint8_t>);
 
 // --- socket transport -------------------------------------------------------
 

@@ -20,10 +20,12 @@
 // frame and reads the next frame.  No client byte sequence may crash or
 // wedge the daemon — tests/server/ fuzzes exactly this contract.
 //
-// Result payloads (Measurement, ReuseProfile, PipelineResult) reuse the
-// persistent store's canonical codecs (store/codec.hpp) verbatim, so a
-// reply is byte-identical to what an in-process Engine run would have
-// serialized — the property bench_server_load gates on.
+// Result payloads (PipelineResult, Measurement, ReuseProfile,
+// MulticoreProfile) reuse the persistent store's canonical codecs
+// (store/codec.hpp) verbatim, so a reply is byte-identical to what an
+// in-process Engine run would have serialized — the property
+// bench_server_load gates on.  WireArtifact<T> below pairs each served
+// artifact with its request struct and message kinds.
 //
 // The protocol is versioned by rejection, like the store format: a server
 // never interprets frames of another protocolVersion — it replies
@@ -35,6 +37,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "cachesim/hierarchy.hpp"
@@ -158,6 +162,7 @@ struct MulticoreRequest {
   std::int64_t n = 16;
   std::uint64_t timeSteps = 1;
   CacheTopology topology = CacheTopology::symmetric(2);
+  MulticoreCostModel cost = {};
 };
 
 // Stats and Hello replies carry no request payload beyond the above.
@@ -208,52 +213,65 @@ struct StatsReply {
 };
 
 // --- payload codecs ---------------------------------------------------------
-// Deterministic, defensive: decode() of arbitrary bytes returns nullopt
-// (never throws, never over-reads); trailing bytes are rejected.
+// One codec for every payload struct above: a leading codec version word,
+// then the struct's fields in wire order, as protocol.cpp lists them once
+// for both directions.  Deterministic and defensive: decodePayload() of
+// arbitrary bytes returns nullopt (never throws, never over-reads), and
+// rejects trailing bytes and out-of-range enums.
 
-std::vector<std::uint8_t> encodeHelloRequest(const HelloRequest& r);
-std::optional<HelloRequest> decodeHelloRequest(
-    std::span<const std::uint8_t> bytes);
+template <typename T>
+std::vector<std::uint8_t> encodePayload(const T& msg);
+template <typename T>
+std::optional<T> decodePayload(std::span<const std::uint8_t> bytes);
 
-std::vector<std::uint8_t> encodeOptimizeRequest(const OptimizeRequest& r);
-std::optional<OptimizeRequest> decodeOptimizeRequest(
-    std::span<const std::uint8_t> bytes);
+// --- the wire half of the artifact table -----------------------------------
+// store::Artifact<T> (store/codec.hpp) pairs each artifact type T with its
+// ArtifactKind and codec; WireArtifact<T> adds, for the artifacts served
+// over the wire, the request struct and the request and reply message
+// kinds.  The reply payload is store::Artifact<T>'s encoding.
+// The server's one work handler and the Client both read these two tables;
+// nothing else pairs an artifact with a message kind.
 
-std::vector<std::uint8_t> encodeMeasureRequest(const MeasureRequest& r);
-std::optional<MeasureRequest> decodeMeasureRequest(
-    std::span<const std::uint8_t> bytes);
+template <typename Req, MsgKind RequestKind, MsgKind ReplyKind>
+struct WireEntry {
+  using Message = Req;
+  static constexpr MsgKind request = RequestKind;
+  static constexpr MsgKind reply = ReplyKind;
+};
 
-std::vector<std::uint8_t> encodeProfileRequest(const ProfileRequest& r);
-std::optional<ProfileRequest> decodeProfileRequest(
-    std::span<const std::uint8_t> bytes);
+/// Primary template: T is not served over the wire.
+template <typename T>
+struct WireArtifact {};
+template <>
+struct WireArtifact<PipelineResult>
+    : WireEntry<OptimizeRequest, MsgKind::Optimize, MsgKind::ReplyOptimize> {};
+template <>
+struct WireArtifact<Measurement>
+    : WireEntry<MeasureRequest, MsgKind::Measure, MsgKind::ReplyMeasure> {};
+template <>
+struct WireArtifact<ReuseProfile>
+    : WireEntry<ProfileRequest, MsgKind::Profile, MsgKind::ReplyProfile> {};
+template <>
+struct WireArtifact<MulticoreProfile>
+    : WireEntry<MulticoreRequest, MsgKind::Multicore,
+                MsgKind::ReplyMulticore> {};
 
-std::vector<std::uint8_t> encodeVerifyRequest(const VerifyRequest& r);
-std::optional<VerifyRequest> decodeVerifyRequest(
-    std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encodeMulticoreRequest(const MulticoreRequest& r);
-std::optional<MulticoreRequest> decodeMulticoreRequest(
-    std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encodeHelloReply(const HelloReply& r);
-std::optional<HelloReply> decodeHelloReply(
-    std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encodeErrorReply(const ErrorReply& r);
-std::optional<ErrorReply> decodeErrorReply(
-    std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encodeVerifyReply(const VerifyReply& r);
-std::optional<VerifyReply> decodeVerifyReply(
-    std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encodeStatsReply(const StatsReply& r);
-std::optional<StatsReply> decodeStatsReply(
-    std::span<const std::uint8_t> bytes);
-
-// Measure/Profile/Optimize/Multicore replies are exactly the store codecs
-// (store/codec.hpp): encodeMeasurement / encodeReuseProfile /
-// encodePipelineResult / encodeMulticoreProfile.
+/// Runs fn.template operator()<T>() for the wire-served Reply alternative T
+/// whose request kind is `kind`.  Returns false, running nothing, when
+/// `kind` requests no artifact.
+template <typename Fn>
+bool visitWireArtifact(MsgKind kind, Fn&& fn) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return ([&]<typename T>() {
+      if constexpr (requires { WireArtifact<T>::request; }) {
+        if (kind != WireArtifact<T>::request) return false;
+        fn.template operator()<T>();
+        return true;
+      }
+      return false;
+    }.template operator()<std::variant_alternative_t<I, Reply>>() || ...);
+  }(std::make_index_sequence<std::variant_size_v<Reply>>{});
+}
 
 // --- socket transport -------------------------------------------------------
 // Thin POSIX helpers shared by the server, the client library, and the

@@ -122,7 +122,7 @@ struct Server::Impl {
       if (code != ErrorCode::Busy) ++counters.requestsErrored;
     }
     return reply(fd, MsgKind::ReplyError,
-                 encodeErrorReply(ErrorReply{code, message}));
+                 encodePayload(ErrorReply{code, message}));
   }
 
   // --- request handlers -----------------------------------------------------
@@ -134,70 +134,45 @@ struct Server::Impl {
     return engine.version(p, spec.strategy, spec.versionSpec());
   }
 
-  bool handleOptimize(int fd, std::span<const std::uint8_t> payload) {
-    const std::optional<OptimizeRequest> req = decodeOptimizeRequest(payload);
-    if (!req)
-      return replyError(fd, ErrorCode::MalformedFrame,
-                        "undecodable optimize request");
-    const Program p = apps::buildApp(req->spec.app);
-    const PipelineResult result = engine.pipeline(
-        p, pipelineOptionsFor(req->spec.strategy, req->spec.versionSpec()));
-    return reply(fd, MsgKind::ReplyOptimize,
-                 store::encodePipelineResult(result));
+  // The Engine request each wire request names.  Size and geometry are
+  // checked by the Engine when it accepts the request.
+  Request toRequest(const OptimizeRequest& r) {
+    return PipelineRequest{
+        apps::buildApp(r.spec.app),
+        pipelineOptionsFor(r.spec.strategy, r.spec.versionSpec())};
+  }
+  Request toRequest(MeasureRequest r) {
+    return MeasureTask{versionFor(r.spec), r.n, std::move(r.machine),
+                       r.timeSteps, r.cost};
+  }
+  Request toRequest(const ProfileRequest& r) {
+    return ReuseTask{versionFor(r.spec), r.n, r.timeSteps};
+  }
+  Request toRequest(MulticoreRequest r) {
+    return MulticoreTask{versionFor(r.spec), r.n, std::move(r.topology),
+                         r.timeSteps, r.cost};
   }
 
-  bool handleMeasure(int fd, std::span<const std::uint8_t> payload) {
-    const std::optional<MeasureRequest> req = decodeMeasureRequest(payload);
+  /// The one handler of every artifact request: decode, build the Engine
+  /// request, run it on this connection thread (Engine::run, submit()'s
+  /// synchronous twin), and reply with the artifact's store encoding under
+  /// the reply kind the wire table gives.
+  template <typename T>
+  bool handleWork(int fd, std::span<const std::uint8_t> payload) {
+    using Wire = WireArtifact<T>;
+    std::optional<typename Wire::Message> req =
+        decodePayload<typename Wire::Message>(payload);
     if (!req)
       return replyError(fd, ErrorCode::MalformedFrame,
-                        "undecodable measure request");
-    if (req->n <= 0 || req->machine.l1.sizeBytes <= 0 ||
-        req->machine.l1.lineSize <= 0 || req->machine.l1.ways <= 0 ||
-        req->machine.l2.sizeBytes <= 0 || req->machine.l2.lineSize <= 0 ||
-        req->machine.l2.ways <= 0 || req->machine.pageSize <= 0 ||
-        req->machine.tlbEntries <= 0)
-      return replyError(fd, ErrorCode::BadRequest,
-                        "non-positive problem size or machine geometry");
-    const ProgramVersion v = versionFor(req->spec);
-    const Measurement m =
-        engine.measure(v, req->n, req->machine, req->timeSteps, req->cost);
-    return reply(fd, MsgKind::ReplyMeasure, store::encodeMeasurement(m));
-  }
-
-  bool handleProfile(int fd, std::span<const std::uint8_t> payload) {
-    const std::optional<ProfileRequest> req = decodeProfileRequest(payload);
-    if (!req)
-      return replyError(fd, ErrorCode::MalformedFrame,
-                        "undecodable profile request");
-    if (req->n <= 0)
-      return replyError(fd, ErrorCode::BadRequest, "non-positive problem size");
-    const ProgramVersion v = versionFor(req->spec);
-    const ReuseProfile p = engine.reuseProfile(v, req->n, req->timeSteps);
-    return reply(fd, MsgKind::ReplyProfile, store::encodeReuseProfile(p));
-  }
-
-  bool handleMulticore(int fd, std::span<const std::uint8_t> payload) {
-    const std::optional<MulticoreRequest> req =
-        decodeMulticoreRequest(payload);
-    if (!req)
-      return replyError(fd, ErrorCode::MalformedFrame,
-                        "undecodable multicore request");
-    const CacheTopology& t = req->topology;
-    if (req->n <= 0 || t.cores < 1 || t.l1.sizeBytes <= 0 ||
-        t.l1.lineSize <= 0 || t.l1.ways <= 0 || t.l2.sizeBytes <= 0 ||
-        t.l2.lineSize <= 0 || t.l2.ways <= 0 || t.llc.sizeBytes <= 0 ||
-        t.llc.lineSize <= 0 || t.llc.ways <= 0)
-      return replyError(fd, ErrorCode::BadRequest,
-                        "non-positive problem size or topology geometry");
-    const ProgramVersion v = versionFor(req->spec);
-    const MulticoreProfile mp =
-        engine.multicoreProfile(v, req->n, t, req->timeSteps);
-    return reply(fd, MsgKind::ReplyMulticore,
-                 store::encodeMulticoreProfile(mp));
+                        "undecodable request payload");
+    const Reply result = engine.run(toRequest(std::move(*req)));
+    return reply(fd, Wire::reply,
+                 store::Artifact<T>::encode(replyAs<T>(result)));
   }
 
   bool handleVerify(int fd, std::span<const std::uint8_t> payload) {
-    const std::optional<VerifyRequest> req = decodeVerifyRequest(payload);
+    const std::optional<VerifyRequest> req =
+        decodePayload<VerifyRequest>(payload);
     if (!req)
       return replyError(fd, ErrorCode::MalformedFrame,
                         "undecodable verify request");
@@ -216,7 +191,7 @@ struct Server::Impl {
         ++out.notes;
       out.diagnostics.push_back(d.format());
     }
-    return reply(fd, MsgKind::ReplyVerify, encodeVerifyReply(out));
+    return reply(fd, MsgKind::ReplyVerify, encodePayload(out));
   }
 
   bool handleStats(int fd) {
@@ -230,7 +205,7 @@ struct Server::Impl {
       for (const auto& [name, t] : tenants)
         out.tenants.push_back(TenantStats{name, t.admitted, t.busyRejected});
     }
-    return reply(fd, MsgKind::ReplyStats, encodeStatsReply(out));
+    return reply(fd, MsgKind::ReplyStats, encodePayload(out));
   }
 
   /// One well-framed request.  Returns false when the connection must close
@@ -240,26 +215,37 @@ struct Server::Impl {
                    std::string& tenant) {
     // Session establishment: Hello must precede everything else.
     if (h.kind == MsgKind::Hello) {
-      const std::optional<HelloRequest> req = decodeHelloRequest(payload);
+      const std::optional<HelloRequest> req =
+          decodePayload<HelloRequest>(payload);
       if (!req || req->tenant.empty())
         return replyError(fd, ErrorCode::MalformedFrame,
                           "hello requires a non-empty tenant");
       tenant = req->tenant;
       HelloReply hr;
       hr.serverName = kServerName;
-      return reply(fd, MsgKind::ReplyHello, encodeHelloReply(hr));
+      return reply(fd, MsgKind::ReplyHello, encodePayload(hr));
     }
     if (tenant.empty())
       return replyError(fd, ErrorCode::ProtocolViolation,
                         "first frame must be hello");
     if (h.kind == MsgKind::Stats) return handleStats(fd);  // always served
 
-    const bool isWork =
-        h.kind == MsgKind::Optimize || h.kind == MsgKind::Measure ||
-        h.kind == MsgKind::Profile || h.kind == MsgKind::Verify ||
-        h.kind == MsgKind::Multicore;
-    if (!isWork)
-      return replyError(fd, ErrorCode::UnknownKind, "unrecognized frame kind");
+    if (h.kind == MsgKind::Verify)
+      return admitted(fd, tenant, [&] { return handleVerify(fd, payload); });
+    bool sent = false;
+    if (visitWireArtifact(h.kind, [&]<typename T>() {
+          sent = admitted(fd, tenant,
+                          [&] { return handleWork<T>(fd, payload); });
+        }))
+      return sent;
+    return replyError(fd, ErrorCode::UnknownKind, "unrecognized frame kind");
+  }
+
+  /// Admission and fault isolation around one unit of work: refused while
+  /// draining or over the tenant's limits, and a throwing handler becomes
+  /// an Error reply.  Returns `handle`'s result (false = close).
+  template <typename Handle>
+  bool admitted(int fd, const std::string& tenant, Handle&& handle) {
     if (draining.load())
       return replyError(fd, ErrorCode::ShuttingDown, "server is draining");
     const Ticket ticket = tryAdmit(tenant);
@@ -267,22 +253,15 @@ struct Server::Impl {
       return replyError(fd, ErrorCode::Busy,
                         "in-flight limit reached; retry later");
     try {
-      switch (h.kind) {
-        case MsgKind::Optimize: return handleOptimize(fd, payload);
-        case MsgKind::Measure: return handleMeasure(fd, payload);
-        case MsgKind::Profile: return handleProfile(fd, payload);
-        case MsgKind::Verify: return handleVerify(fd, payload);
-        case MsgKind::Multicore: return handleMulticore(fd, payload);
-        default: break;  // unreachable; isWork filtered above
-      }
+      return handle();
     } catch (const Error& e) {
       // gcr::Error here is a semantic rejection (unknown app name, invalid
-      // program) — the daemon is healthy and the session continues.
+      // program, non-positive size or geometry) — the daemon is healthy and
+      // the session continues.
       return replyError(fd, ErrorCode::BadRequest, e.what());
     } catch (const std::exception& e) {
       return replyError(fd, ErrorCode::EngineFailure, e.what());
     }
-    return false;
   }
 
   // --- connection loop ------------------------------------------------------
@@ -347,7 +326,7 @@ struct Server::Impl {
             static_cast<std::size_t>(opts.maxConnections)) {
       ++counters.connectionsRejected;
       sendFrame(fd, MsgKind::ReplyError,
-                encodeErrorReply(ErrorReply{
+                encodePayload(ErrorReply{
                     draining.load() ? ErrorCode::ShuttingDown
                                     : ErrorCode::Busy,
                     "connection limit reached"}));

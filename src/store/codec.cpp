@@ -290,20 +290,6 @@ Regrouping getRegrouping(ByteReader& r) {
   return Regrouping::fromPartitions(std::move(partitions));
 }
 
-template <typename T, typename Decode>
-std::optional<T> decodeOrNull(std::span<const std::uint8_t> bytes,
-                              std::uint32_t codecVersion, Decode&& decode) {
-  try {
-    ByteReader r(bytes);
-    if (r.u32() != codecVersion) return std::nullopt;
-    T value = decode(r);
-    if (!r.atEnd()) return std::nullopt;  // trailing garbage
-    return std::optional<T>(std::move(value));
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 // --- Measurement -----------------------------------------------------------
@@ -328,7 +314,7 @@ std::vector<std::uint8_t> encodeMeasurement(const Measurement& m) {
 
 std::optional<Measurement> decodeMeasurement(
     std::span<const std::uint8_t> bytes) {
-  return decodeOrNull<Measurement>(bytes, kMeasurementCodec, [](ByteReader& r) {
+  return decodeWith<Measurement>(bytes, kMeasurementCodec, [](ByteReader& r) {
     Measurement m;
     m.counts.refs = r.u64();
     m.counts.l1Misses = r.u64();
@@ -359,7 +345,7 @@ std::vector<std::uint8_t> encodeReuseProfile(const ReuseProfile& p) {
 
 std::optional<ReuseProfile> decodeReuseProfile(
     std::span<const std::uint8_t> bytes) {
-  return decodeOrNull<ReuseProfile>(bytes, kProfileCodec, [](ByteReader& r) {
+  return decodeWith<ReuseProfile>(bytes, kProfileCodec, [](ByteReader& r) {
     ReuseProfile p;
     p.histogram = getHistogram(r);
     p.accesses = r.u64();
@@ -395,7 +381,7 @@ std::vector<std::uint8_t> encodePipelineResult(const PipelineResult& res) {
 
 std::optional<PipelineResult> decodePipelineResult(
     std::span<const std::uint8_t> bytes) {
-  return decodeOrNull<PipelineResult>(
+  return decodeWith<PipelineResult>(
       bytes, kPipelineCodec, [](ByteReader& r) {
         PipelineResult res;
         res.program = getProgram(r);
@@ -467,7 +453,7 @@ std::vector<std::uint8_t> encodeSymbolicProfile(
 
 std::optional<SymbolicReuseProfile> decodeSymbolicProfile(
     std::span<const std::uint8_t> bytes) {
-  return decodeOrNull<SymbolicReuseProfile>(
+  return decodeWith<SymbolicReuseProfile>(
       bytes, kSymbolicProfileCodec, [](ByteReader& r) {
         SymbolicReuseProfile p;
         p.minN = r.i64();
@@ -532,7 +518,7 @@ std::vector<std::uint8_t> encodeMulticoreProfile(const MulticoreProfile& p) {
 
 std::optional<MulticoreProfile> decodeMulticoreProfile(
     std::span<const std::uint8_t> bytes) {
-  return decodeOrNull<MulticoreProfile>(
+  return decodeWith<MulticoreProfile>(
       bytes, kMulticoreProfileCodec, [](ByteReader& r) {
         MulticoreProfile p;
         p.cores = static_cast<int>(r.u32());

@@ -28,6 +28,7 @@
 #include "driver/pipeline.hpp"
 #include "locality/multicore.hpp"
 #include "locality/reuse_distance.hpp"
+#include "store/format.hpp"
 
 namespace gcr::store {
 
@@ -55,5 +56,41 @@ std::optional<SymbolicReuseProfile> decodeSymbolicProfile(
 std::vector<std::uint8_t> encodeMulticoreProfile(const MulticoreProfile& p);
 std::optional<MulticoreProfile> decodeMulticoreProfile(
     std::span<const std::uint8_t> bytes);
+
+// --- the artifact table -----------------------------------------------------
+// Artifact<T> is the one place an artifact type is paired with the
+// ArtifactKind it persists under and its codec.  The Engine's load-or-compute
+// ladder reads it for the disk tier; the server's wire half of the table
+// (server::WireArtifact in server/protocol.hpp) adds the message kinds.
+
+template <ArtifactKind K, auto Encode, auto Decode>
+struct ArtifactCodec {
+  static constexpr ArtifactKind kind = K;
+  static constexpr auto encode = Encode;
+  static constexpr auto decode = Decode;
+};
+
+template <typename T>
+struct Artifact;
+template <>
+struct Artifact<PipelineResult>
+    : ArtifactCodec<ArtifactKind::PipelineResult, encodePipelineResult,
+                    decodePipelineResult> {};
+template <>
+struct Artifact<Measurement>
+    : ArtifactCodec<ArtifactKind::Measurement, encodeMeasurement,
+                    decodeMeasurement> {};
+template <>
+struct Artifact<ReuseProfile>
+    : ArtifactCodec<ArtifactKind::ReuseProfile, encodeReuseProfile,
+                    decodeReuseProfile> {};
+template <>
+struct Artifact<SymbolicReuseProfile>
+    : ArtifactCodec<ArtifactKind::SymbolicProfile, encodeSymbolicProfile,
+                    decodeSymbolicProfile> {};
+template <>
+struct Artifact<MulticoreProfile>
+    : ArtifactCodec<ArtifactKind::MulticoreProfile, encodeMulticoreProfile,
+                    decodeMulticoreProfile> {};
 
 }  // namespace gcr::store

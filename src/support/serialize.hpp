@@ -10,16 +10,19 @@
 // against the remaining input and every length prefix is validated *before*
 // any allocation, so a truncated or bit-flipped payload that slips past the
 // store's checksums still fails with gcr::Error instead of undefined
-// behaviour or an attempted multi-gigabyte allocation.  Store codecs
-// (store/codec.hpp) catch that error and report a decode failure, which the
-// cache tier treats as a miss.
+// behaviour or an attempted multi-gigabyte allocation.  Codecs decode
+// through decodeWith() below, which turns that error into a decode failure:
+// the store's cache tier treats it as a miss, the server as a malformed
+// frame.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -81,5 +84,24 @@ class ByteReader {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+/// The decode wrapper of every versioned codec (store artifacts and wire
+/// payloads): the leading version word must equal `version`, `body` reads
+/// the value, and the input must end exactly there.  Any gcr::Error thrown
+/// by the reader or by a range check in `body` becomes nullopt, so
+/// arbitrary byte soup can fail to decode but never over-read or throw.
+template <typename T, typename Body>
+std::optional<T> decodeWith(std::span<const std::uint8_t> bytes,
+                            std::uint32_t version, Body&& body) {
+  try {
+    ByteReader r(bytes);
+    if (r.u32() != version) return std::nullopt;
+    T value = body(r);
+    if (!r.atEnd()) return std::nullopt;  // trailing bytes are corruption
+    return std::optional<T>(std::move(value));
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
 
 }  // namespace gcr

@@ -87,19 +87,47 @@ TEST(EngineMulticore, SubmitResolvesToSyncResultAndSharesTheCache) {
   EXPECT_EQ(s.multicore.hits + s.inflightCoalesced, 1u);
 }
 
-TEST(EngineMulticore, RequestKindMapsToTheSharedArtifactEnum) {
+TEST(EngineMulticore, ReplyAsRefusesAnotherArtifactKind) {
   Program p = apps::buildApp("ADI");
   Engine engine;
   ProgramVersion v = engine.version(p, Strategy::NoOpt);
-  const Request req = MulticoreTask{v.clone(), 16, smallTopo(2), 1, {}};
-  EXPECT_EQ(requestKind(req), store::ArtifactKind::MulticoreProfile);
-
   // replyAs enforces the tag: asking a multicore reply for a Measurement
-  // throws instead of mis-reading the variant.
+  // throws instead of mis-reading the variant.  (The Request → ArtifactKind
+  // mapping is pinned by Protocol.WorkKindTableIsOneToOne.)
   Future<Reply> f = engine.submit(MulticoreTask{v.clone(), 16, smallTopo(2),
                                                 1, {}});
   EXPECT_THROW((void)replyAs<Measurement>(f.get()), Error);
   EXPECT_NO_THROW((void)replyAs<MulticoreProfile>(f.get()));
+}
+
+TEST(EngineMulticore, DegenerateGeometryIsRejectedLikeOnTheWire) {
+  // The Engine applies CacheTopology::validate() / MachineConfig::validate()
+  // where it accepts work, so an in-process caller is refused exactly what
+  // gcr-server refuses with BadRequest — on both the sync and async paths.
+  Program p = apps::buildApp("ADI");
+  Engine engine;
+  ProgramVersion v = engine.version(p, Strategy::NoOpt);
+  CacheTopology noWays = smallTopo(2);
+  noWays.llc.ways = 0;
+  CacheTopology noSize = smallTopo(2);
+  noSize.llc.sizeBytes = 0;
+  for (const CacheTopology& t : {noWays, noSize}) {
+    EXPECT_THROW((void)engine.multicoreProfile(v, 16, t), Error);
+    EXPECT_THROW(
+        (void)engine.submit(MulticoreTask{v.clone(), 16, t, 1, {}}).get(),
+        Error);
+  }
+  EXPECT_THROW((void)engine.multicoreProfile(v, 0, smallTopo(2)), Error);
+
+  MachineConfig noTlb = MachineConfig::origin2000();
+  noTlb.tlbEntries = 0;
+  EXPECT_THROW((void)engine.measure(v, 16, noTlb), Error);
+  EXPECT_THROW(
+      (void)engine.submit(MeasureTask{v.clone(), 16, noTlb, 1, {}}).get(),
+      Error);
+  EXPECT_THROW((void)engine.reuseProfile(v, -1), Error);
+  EXPECT_EQ(engine.stats().multicore.entries, 0u);
+  EXPECT_EQ(engine.stats().measurement.entries, 0u);
 }
 
 TEST(EngineMulticore, PersistsAcrossEngines) {

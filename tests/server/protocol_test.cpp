@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "server/protocol.hpp"
 #include "support/serialize.hpp"
 
@@ -39,14 +41,14 @@ TEST(Protocol, FrameHeaderRejectsWrongSizeAndMagic) {
 
 TEST(Protocol, HelloRoundTrip) {
   const std::vector<std::uint8_t> bytes =
-      encodeHelloRequest(HelloRequest{"tenant-a"});
-  const auto back = decodeHelloRequest(bytes);
+      encodePayload(HelloRequest{"tenant-a"});
+  const auto back = decodePayload<HelloRequest>(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->tenant, "tenant-a");
 
   HelloReply reply;
   reply.serverName = "gcr-server/1";
-  const auto reply2 = decodeHelloReply(encodeHelloReply(reply));
+  const auto reply2 = decodePayload<HelloReply>(encodePayload(reply));
   ASSERT_TRUE(reply2.has_value());
   EXPECT_EQ(reply2->protocolVersion, kProtocolVersion);
   EXPECT_EQ(reply2->serverName, "gcr-server/1");
@@ -61,7 +63,7 @@ TEST(Protocol, MeasureRequestRoundTrip) {
   req.n = 96;
   req.timeSteps = 3;
   req.machine = MachineConfig::origin2000();
-  const auto back = decodeMeasureRequest(encodeMeasureRequest(req));
+  const auto back = decodePayload<MeasureRequest>(encodePayload(req));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->spec.app, "Swim");
   EXPECT_EQ(back->spec.strategy, Strategy::FusedRegrouped);
@@ -82,7 +84,8 @@ TEST(Protocol, MulticoreRequestRoundTrip) {
   req.timeSteps = 2;
   req.topology = CacheTopology::symmetric(4, ParallelSchedule::Cyclic);
   req.topology.name = "nehalem-4";
-  const auto back = decodeMulticoreRequest(encodeMulticoreRequest(req));
+  req.cost.memoryCost = 250.0;
+  const auto back = decodePayload<MulticoreRequest>(encodePayload(req));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->spec.app, "ADI");
   EXPECT_EQ(back->spec.strategy, Strategy::Fused);
@@ -93,14 +96,17 @@ TEST(Protocol, MulticoreRequestRoundTrip) {
   EXPECT_EQ(back->topology.l1.sizeBytes, req.topology.l1.sizeBytes);
   EXPECT_EQ(back->topology.llc.ways, req.topology.llc.ways);
   EXPECT_EQ(back->topology.name, "nehalem-4");
+  EXPECT_EQ(back->cost.memoryCost, 250.0);
+  EXPECT_EQ(back->cost.llcHitCost, req.cost.llcHitCost);
 
   // Trailing bytes and truncation reject like every other request codec.
-  std::vector<std::uint8_t> bytes = encodeMulticoreRequest(req);
+  std::vector<std::uint8_t> bytes = encodePayload(req);
   for (std::size_t len = 0; len < bytes.size(); ++len)
-    EXPECT_FALSE(decodeMulticoreRequest({bytes.data(), len}).has_value())
+    EXPECT_FALSE(
+        decodePayload<MulticoreRequest>({bytes.data(), len}).has_value())
         << "decoded a " << len << "-byte prefix";
   bytes.push_back(0);
-  EXPECT_FALSE(decodeMulticoreRequest(bytes).has_value());
+  EXPECT_FALSE(decodePayload<MulticoreRequest>(bytes).has_value());
 }
 
 TEST(Protocol, StatsReplyCarriesMulticoreCounters) {
@@ -108,7 +114,7 @@ TEST(Protocol, StatsReplyCarriesMulticoreCounters) {
   r.engine.multicore.hits = 11;
   r.engine.multicore.misses = 3;
   r.engine.multicore.entries = 2;
-  const auto back = decodeStatsReply(encodeStatsReply(r));
+  const auto back = decodePayload<StatsReply>(encodePayload(r));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->engine.multicore.hits, 11u);
   EXPECT_EQ(back->engine.multicore.misses, 3u);
@@ -118,7 +124,7 @@ TEST(Protocol, StatsReplyCarriesMulticoreCounters) {
 TEST(Protocol, RequestCodecsRejectUnknownStrategy) {
   MeasureRequest req;
   req.spec.app = "ADI";
-  std::vector<std::uint8_t> bytes = encodeMeasureRequest(req);
+  std::vector<std::uint8_t> bytes = encodePayload(req);
   // The strategy word sits after the codec version (u32) and the app string
   // (u64 length + bytes); corrupt it wholesale instead of surgically — any
   // out-of-range value must be refused.
@@ -126,30 +132,31 @@ TEST(Protocol, RequestCodecsRejectUnknownStrategy) {
   for (std::size_t i = 4; i < bytes.size(); ++i) {
     std::vector<std::uint8_t> mutant = bytes;
     mutant[i] = 0xEE;
-    if (!decodeMeasureRequest(mutant).has_value()) rejectedSomething = true;
+    if (!decodePayload<MeasureRequest>(mutant).has_value())
+      rejectedSomething = true;
   }
   EXPECT_TRUE(rejectedSomething);
 }
 
 TEST(Protocol, CodecsRejectTrailingBytes) {
   std::vector<std::uint8_t> bytes =
-      encodeHelloRequest(HelloRequest{"tenant"});
+      encodePayload(HelloRequest{"tenant"});
   bytes.push_back(0);
-  EXPECT_FALSE(decodeHelloRequest(bytes).has_value());
+  EXPECT_FALSE(decodePayload<HelloRequest>(bytes).has_value());
 
   std::vector<std::uint8_t> verify =
-      encodeVerifyRequest(VerifyRequest{"ADI", 16});
+      encodePayload(VerifyRequest{"ADI", 16});
   verify.push_back(7);
-  EXPECT_FALSE(decodeVerifyRequest(verify).has_value());
+  EXPECT_FALSE(decodePayload<VerifyRequest>(verify).has_value());
 }
 
 TEST(Protocol, CodecsRejectTruncationAtEveryLength) {
   MeasureRequest req;
   req.spec.app = "Tomcatv";
   req.machine = MachineConfig::origin2000();
-  const std::vector<std::uint8_t> bytes = encodeMeasureRequest(req);
+  const std::vector<std::uint8_t> bytes = encodePayload(req);
   for (std::size_t len = 0; len < bytes.size(); ++len)
-    EXPECT_FALSE(decodeMeasureRequest({bytes.data(), len}).has_value())
+    EXPECT_FALSE(decodePayload<MeasureRequest>({bytes.data(), len}).has_value())
         << "decoded a " << len << "-byte prefix";
 }
 
@@ -157,7 +164,7 @@ TEST(Protocol, ErrorReplyRoundTrip) {
   ErrorReply err;
   err.code = ErrorCode::Busy;
   err.message = "tenant over limit";
-  const auto back = decodeErrorReply(encodeErrorReply(err));
+  const auto back = decodePayload<ErrorReply>(encodePayload(err));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->code, ErrorCode::Busy);
   EXPECT_EQ(back->message, "tenant over limit");
@@ -169,7 +176,7 @@ TEST(Protocol, VerifyReplyRoundTrip) {
   r.notes = 3;
   r.warnings = 1;
   r.diagnostics = {"a:1:x note", "b:2:y warning"};
-  const auto back = decodeVerifyReply(encodeVerifyReply(r));
+  const auto back = decodePayload<VerifyReply>(encodePayload(r));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->notes, 3u);
   EXPECT_EQ(back->warnings, 1u);
@@ -191,7 +198,7 @@ TEST(Protocol, StatsReplyRoundTrip) {
   r.engine.store.puts = 9;
   r.engine.store.evictions = 2;
   r.cacheDir = "/tmp/store";
-  const auto back = decodeStatsReply(encodeStatsReply(r));
+  const auto back = decodePayload<StatsReply>(encodePayload(r));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->server.connectionsAccepted, 5u);
   EXPECT_TRUE(back->server.draining);
@@ -214,8 +221,8 @@ TEST(Protocol, StatsReplyV3PayloadDecodesToNullopt) {
   StatsReply r;
   r.engine.store.puts = 9;
   r.cacheDir = "/tmp/store";
-  const std::vector<std::uint8_t> v4 = encodeStatsReply(r);
-  ASSERT_TRUE(decodeStatsReply(v4).has_value());
+  const std::vector<std::uint8_t> v4 = encodePayload(r);
+  ASSERT_TRUE(decodePayload<StatsReply>(v4).has_value());
 
   std::vector<std::uint8_t> v3 = v4;
   const std::size_t cacheDirBytes = 8 + r.cacheDir.size();  // u64 length
@@ -224,15 +231,119 @@ TEST(Protocol, StatsReplyV3PayloadDecodesToNullopt) {
   tag.u32(3);
   const std::vector<std::uint8_t> word = tag.take();
   std::copy(word.begin(), word.end(), v3.begin());
-  EXPECT_FALSE(decodeStatsReply(v3).has_value());
+  EXPECT_FALSE(decodePayload<StatsReply>(v3).has_value());
 
   // Neither half of the change alone is accepted either.
   std::vector<std::uint8_t> tagOnly = v4;
   std::copy(word.begin(), word.end(), tagOnly.begin());
-  EXPECT_FALSE(decodeStatsReply(tagOnly).has_value());
+  EXPECT_FALSE(decodePayload<StatsReply>(tagOnly).has_value());
   std::vector<std::uint8_t> layoutOnly = v3;
   std::copy(v4.begin(), v4.begin() + 4, layoutOnly.begin());
-  EXPECT_FALSE(decodeStatsReply(layoutOnly).has_value());
+  EXPECT_FALSE(decodePayload<StatsReply>(layoutOnly).has_value());
+}
+
+TEST(Protocol, MulticoreRequestV4PayloadDecodesToNullopt) {
+  // Codec v4 ended the multicore request at the topology; v5 appends the
+  // multicore cost model (four f64).  A v4 payload (an older client) is
+  // refused, never misread as v5 with a cost taken from the next bytes.
+  MulticoreRequest req;
+  req.spec.app = "ADI";
+  const std::vector<std::uint8_t> v5 = encodePayload(req);
+  ASSERT_TRUE(decodePayload<MulticoreRequest>(v5).has_value());
+
+  std::vector<std::uint8_t> v4(v5.begin(), v5.end() - 4 * 8);
+  ByteWriter tag;
+  tag.u32(4);
+  const std::vector<std::uint8_t> word = tag.take();
+  std::copy(word.begin(), word.end(), v4.begin());
+  EXPECT_FALSE(decodePayload<MulticoreRequest>(v4).has_value());
+
+  // Neither half of the change alone is accepted either.
+  std::vector<std::uint8_t> tagOnly = v5;
+  std::copy(word.begin(), word.end(), tagOnly.begin());
+  EXPECT_FALSE(decodePayload<MulticoreRequest>(tagOnly).has_value());
+  std::vector<std::uint8_t> layoutOnly = v4;
+  std::copy(v5.begin(), v5.begin() + 4, layoutOnly.begin());
+  EXPECT_FALSE(decodePayload<MulticoreRequest>(layoutOnly).has_value());
+}
+
+// The Engine request each Reply alternative T answers, for one app.
+template <typename T>
+Request requestFor(Engine& engine, const std::string& app) {
+  const Program p = apps::buildApp(app);
+  if constexpr (std::is_same_v<T, PipelineResult>)
+    return PipelineRequest{p.clone(), pipelineOptionsFor(Strategy::Fused, {})};
+  else if constexpr (std::is_same_v<T, SymbolicReuseProfile>)
+    return SymbolicProfileRequest{p.clone(), {}};
+  else {
+    ProgramVersion v = engine.version(p, Strategy::Fused);
+    if constexpr (std::is_same_v<T, Measurement>)
+      return MeasureTask{std::move(v), 16, MachineConfig::origin2000(), 1, {}};
+    else if constexpr (std::is_same_v<T, ReuseProfile>)
+      return ReuseTask{std::move(v), 16, 1};
+    else
+      return MulticoreTask{std::move(v), 16,
+                           CacheTopology::symmetric(2).scaledDown(16), 1, {}};
+  }
+}
+
+TEST(Protocol, WorkKindTableIsOneToOne) {
+  std::set<MsgKind> requestKinds, replyKinds;
+  std::set<store::ArtifactKind> artifactKinds;
+  std::size_t served = 0;
+  Engine engine;
+  // Every Reply alternative has a store row; the wire-served ones also
+  // have a wire row.  Walk them all.
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ([&]<typename T>() {
+      using Codec = store::Artifact<T>;
+      EXPECT_TRUE(artifactKinds.insert(Codec::kind).second);
+      for (const apps::AppInfo& app : apps::evaluationApps()) {
+        SCOPED_TRACE(app.name);
+        Request req = requestFor<T>(engine, app.name);
+        ASSERT_EQ(req.index(), I);
+        EXPECT_EQ(requestKind(req), Codec::kind);
+        const Future<Reply> f = engine.submit(std::move(req));
+        const Reply& reply = f.get();
+        ASSERT_EQ(reply.index(), I);
+        const std::vector<std::uint8_t> bytes =
+            Codec::encode(replyAs<T>(reply));
+        const std::optional<T> back = Codec::decode(bytes);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(Codec::encode(*back), bytes);
+      }
+      if constexpr (requires { WireArtifact<T>::request; }) {
+        using Wire = WireArtifact<T>;
+        ++served;
+        EXPECT_TRUE(requestKinds.insert(Wire::request).second);
+        EXPECT_TRUE(replyKinds.insert(Wire::reply).second);
+        EXPECT_LT(static_cast<std::uint32_t>(Wire::request), 100u);
+        EXPECT_GE(static_cast<std::uint32_t>(Wire::reply), 100u);
+        // The request kind dispatches to exactly this artifact.
+        int visits = 0;
+        EXPECT_TRUE(visitWireArtifact(Wire::request, [&]<typename U>() {
+          EXPECT_TRUE((std::is_same_v<U, T>));
+          ++visits;
+        }));
+        EXPECT_EQ(visits, 1);
+        // The request codec round-trips byte for byte.
+        const std::vector<std::uint8_t> msg =
+            encodePayload(typename Wire::Message{});
+        const auto decoded = decodePayload<typename Wire::Message>(msg);
+        ASSERT_TRUE(decoded.has_value());
+        EXPECT_EQ(encodePayload(*decoded), msg);
+      }
+    }.template operator()<std::variant_alternative_t<I, Reply>>(), ...);
+  }(std::make_index_sequence<std::variant_size_v<Reply>>{});
+
+  EXPECT_EQ(served, 4u);  // Optimize, Measure, Profile, Multicore
+  EXPECT_EQ(requestKinds.size(), served);
+  EXPECT_EQ(replyKinds.size(), served);
+  EXPECT_EQ(artifactKinds.size(), std::variant_size_v<Reply>);
+  // Requests that are not artifacts dispatch to nothing.
+  for (MsgKind k : {MsgKind::Hello, MsgKind::Verify, MsgKind::Stats,
+                    MsgKind::ReplyMeasure, static_cast<MsgKind>(77)})
+    EXPECT_FALSE(visitWireArtifact(k, []<typename U>() { FAIL(); }));
 }
 
 TEST(Protocol, DecodersNeverCrashOnMutatedPayloads) {
@@ -245,26 +356,28 @@ TEST(Protocol, DecodersNeverCrashOnMutatedPayloads) {
   stats.tenants = {{"t", 1, 0}};
   stats.cacheDir = "/x";
   const std::vector<std::vector<std::uint8_t>> corpus = {
-      encodeHelloRequest(HelloRequest{"t"}),
-      encodeOptimizeRequest(OptimizeRequest{{"ADI", Strategy::Fused, 8, 0}}),
-      encodeMeasureRequest(mreq),
-      encodeProfileRequest(ProfileRequest{{"SP", Strategy::NoOpt, 8, 0}, 16, 1}),
-      encodeVerifyRequest(VerifyRequest{"Swim", 16}),
-      encodeHelloReply(HelloReply{}),
-      encodeErrorReply(ErrorReply{ErrorCode::BadRequest, "m"}),
-      encodeVerifyReply(VerifyReply{1, 0, 0, {"d"}}),
-      encodeStatsReply(stats),
+      encodePayload(HelloRequest{"t"}),
+      encodePayload(OptimizeRequest{{"ADI", Strategy::Fused, 8, 0}}),
+      encodePayload(mreq),
+      encodePayload(ProfileRequest{{"SP", Strategy::NoOpt, 8, 0}, 16, 1}),
+      encodePayload(VerifyRequest{"Swim", 16}),
+      encodePayload(MulticoreRequest{}),
+      encodePayload(HelloReply{}),
+      encodePayload(ErrorReply{ErrorCode::BadRequest, "m"}),
+      encodePayload(VerifyReply{1, 0, 0, {"d"}}),
+      encodePayload(stats),
   };
   auto tryAll = [](std::span<const std::uint8_t> bytes) {
-    (void)decodeHelloRequest(bytes);
-    (void)decodeOptimizeRequest(bytes);
-    (void)decodeMeasureRequest(bytes);
-    (void)decodeProfileRequest(bytes);
-    (void)decodeVerifyRequest(bytes);
-    (void)decodeHelloReply(bytes);
-    (void)decodeErrorReply(bytes);
-    (void)decodeVerifyReply(bytes);
-    (void)decodeStatsReply(bytes);
+    (void)decodePayload<HelloRequest>(bytes);
+    (void)decodePayload<OptimizeRequest>(bytes);
+    (void)decodePayload<MeasureRequest>(bytes);
+    (void)decodePayload<ProfileRequest>(bytes);
+    (void)decodePayload<VerifyRequest>(bytes);
+    (void)decodePayload<MulticoreRequest>(bytes);
+    (void)decodePayload<HelloReply>(bytes);
+    (void)decodePayload<ErrorReply>(bytes);
+    (void)decodePayload<VerifyReply>(bytes);
+    (void)decodePayload<StatsReply>(bytes);
   };
   for (const std::vector<std::uint8_t>& seed : corpus) {
     for (std::size_t i = 0; i < seed.size(); ++i) {
@@ -289,15 +402,16 @@ TEST(Protocol, DecodersNeverCrashOnRandomBytes) {
       lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
       b = static_cast<std::uint8_t>(lcg >> 56);
     }
-    (void)decodeHelloRequest(bytes);
-    (void)decodeOptimizeRequest(bytes);
-    (void)decodeMeasureRequest(bytes);
-    (void)decodeProfileRequest(bytes);
-    (void)decodeVerifyRequest(bytes);
-    (void)decodeHelloReply(bytes);
-    (void)decodeErrorReply(bytes);
-    (void)decodeVerifyReply(bytes);
-    (void)decodeStatsReply(bytes);
+    (void)decodePayload<HelloRequest>(bytes);
+    (void)decodePayload<OptimizeRequest>(bytes);
+    (void)decodePayload<MeasureRequest>(bytes);
+    (void)decodePayload<ProfileRequest>(bytes);
+    (void)decodePayload<VerifyRequest>(bytes);
+    (void)decodePayload<MulticoreRequest>(bytes);
+    (void)decodePayload<HelloReply>(bytes);
+    (void)decodePayload<ErrorReply>(bytes);
+    (void)decodePayload<VerifyReply>(bytes);
+    (void)decodePayload<StatsReply>(bytes);
     (void)decodeFrameHeader(bytes);
   }
   SUCCEED();

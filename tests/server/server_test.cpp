@@ -77,7 +77,7 @@ struct RawConn {
   }
   bool hello(const std::string& tenant = "raw") const {
     return sendFrame(fd, MsgKind::Hello,
-                     encodeHelloRequest(HelloRequest{tenant})) &&
+                     encodePayload(HelloRequest{tenant})) &&
            recvFrame(fd).ok;
   }
 };
@@ -212,6 +212,39 @@ TEST(Server, MulticoreMatchesDirectEngineAndWarmDuplicateIsVerbatim) {
   EXPECT_EQ(stats->engine.multicore.hits, 1u);
 }
 
+TEST(Server, MulticoreCostTravelsOverTheWire) {
+  TestServer ts;
+  ASSERT_NE(ts.server, nullptr);
+  auto client = Client::connect(ts.socketPath, "t1");
+  ASSERT_NE(client, nullptr);
+
+  // Two requests that differ only in the cost model: each reply is the
+  // in-process submit() of the same MulticoreTask, byte for byte.
+  MulticoreRequest req;
+  req.spec.app = "Swim";
+  req.n = 20;
+  req.topology = CacheTopology::symmetric(2).scaledDown(16);
+  MulticoreRequest pricey = req;
+  pricey.cost.l2HitCost = 20.0;
+
+  Engine direct;
+  const ProgramVersion v = direct.version(
+      apps::buildApp("Swim"), req.spec.strategy, req.spec.versionSpec());
+  std::vector<double> cycles;
+  for (const MulticoreRequest& r : {req, pricey}) {
+    const Result<MulticoreProfile> wire = client->multicore(r);
+    ASSERT_TRUE(wire.ok()) << wire.message;
+    const Future<Reply> f = direct.submit(
+        MulticoreTask{v.clone(), r.n, r.topology, r.timeSteps, r.cost});
+    MulticoreProfile a = *wire, b = replyAs<MulticoreProfile>(f.get());
+    a.wallSeconds = b.wallSeconds = 0.0;
+    EXPECT_EQ(store::encodeMulticoreProfile(a),
+              store::encodeMulticoreProfile(b));
+    cycles.push_back(wire->cycles);
+  }
+  EXPECT_NE(cycles[0], cycles[1]);
+}
+
 TEST(Server, MulticoreBadGeometryIsBadRequestNotACrash) {
   TestServer ts;
   ASSERT_NE(ts.server, nullptr);
@@ -283,7 +316,7 @@ TEST(Server, ConnectionCapRejectsTheExtraClient) {
   const RecvResult r = recvFrame(raw.fd);
   ASSERT_TRUE(r.ok);
   ASSERT_EQ(r.header.kind, MsgKind::ReplyError);
-  const auto err = decodeErrorReply(r.payload);
+  const auto err = decodePayload<ErrorReply>(r.payload);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ErrorCode::Busy);
 
@@ -336,7 +369,7 @@ TEST(Server, WrongProtocolVersionIsRejected) {
   const RecvResult r = recvFrame(raw.fd);
   ASSERT_TRUE(r.ok);
   ASSERT_EQ(r.header.kind, MsgKind::ReplyError);
-  const auto err = decodeErrorReply(r.payload);
+  const auto err = decodePayload<ErrorReply>(r.payload);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ErrorCode::UnsupportedVersion);
   EXPECT_TRUE(recvFrame(raw.fd).eof);
@@ -357,7 +390,7 @@ TEST(Server, OversizedLengthPrefixIsRejectedBeforeAllocation) {
   const RecvResult r = recvFrame(raw.fd);
   ASSERT_TRUE(r.ok);
   ASSERT_EQ(r.header.kind, MsgKind::ReplyError);
-  const auto err = decodeErrorReply(r.payload);
+  const auto err = decodePayload<ErrorReply>(r.payload);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ErrorCode::OversizedFrame);
 }
@@ -405,7 +438,7 @@ TEST(Server, UndecodablePayloadKeepsSessionOpen) {
   const RecvResult r = recvFrame(raw.fd);
   ASSERT_TRUE(r.ok);
   ASSERT_EQ(r.header.kind, MsgKind::ReplyError);
-  const auto err = decodeErrorReply(r.payload);
+  const auto err = decodePayload<ErrorReply>(r.payload);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ErrorCode::MalformedFrame);
 
@@ -424,11 +457,11 @@ TEST(Server, UnknownKindAndPreHelloWorkAreProtocolErrors) {
     ASSERT_GE(raw.fd, 0);
     // Work before Hello: the session has no tenant yet.
     ASSERT_TRUE(sendFrame(raw.fd, MsgKind::Measure,
-                          encodeMeasureRequest(adiRequest())));
+                          encodePayload(adiRequest())));
     const RecvResult r = recvFrame(raw.fd);
     ASSERT_TRUE(r.ok);
     ASSERT_EQ(r.header.kind, MsgKind::ReplyError);
-    const auto err = decodeErrorReply(r.payload);
+    const auto err = decodePayload<ErrorReply>(r.payload);
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->code, ErrorCode::ProtocolViolation);
   }
@@ -440,7 +473,7 @@ TEST(Server, UnknownKindAndPreHelloWorkAreProtocolErrors) {
     const RecvResult r = recvFrame(raw.fd);
     ASSERT_TRUE(r.ok);
     ASSERT_EQ(r.header.kind, MsgKind::ReplyError);
-    const auto err = decodeErrorReply(r.payload);
+    const auto err = decodePayload<ErrorReply>(r.payload);
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->code, ErrorCode::UnknownKind);
   }
