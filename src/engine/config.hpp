@@ -31,13 +31,6 @@
 namespace gcr {
 
 struct EngineConfig {
-  /// Per-cache entry bounds; 0 disables that cache.
-  std::size_t pipelineCacheCapacity = 64;
-  std::size_t planCacheCapacity = 64;
-  std::size_t measurementCacheCapacity = 512;
-  std::size_t profileCacheCapacity = 128;
-  std::size_t symbolicCacheCapacity = 64;
-  std::size_t multicoreCacheCapacity = 64;
   /// Thread-pool size for submit()/batch APIs (including the calling
   /// thread).  0 defers to GCR_THREADS / hardware_concurrency; 1 runs every
   /// submission inline (the determinism baseline).

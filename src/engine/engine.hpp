@@ -26,10 +26,12 @@
 //      kind (engine/request.hpp).  Each result type has one row in the
 //      artifact table (store::Artifact in store/codec.hpp) naming its store
 //      ArtifactKind and codec; the server's wire half of the table
-//      (server::WireArtifact) adds its message kinds.  Identical in-flight
-//      work is deduplicated across the async and synchronous paths (two
-//      submissions of the same signature share one computation), and each
-//      task resolves its dependencies through the caches stage by stage —
+//      (server::WireArtifact) adds its message kinds.  The async and
+//      synchronous paths run one memoize-and-coalesce ladder that differs
+//      only in where a computation runs (a pool worker or the calling
+//      thread), so identical in-flight work is deduplicated across both
+//      (two submissions of the same signature share one computation), and
+//      each task resolves its dependencies through the caches stage by stage —
 //      pipeline, then compiled plan, then simulation — so a sweep over
 //      sizes and machines compiles each plan once and runs each distinct
 //      simulation once.  measureAll()/reuseProfilesOf() keep PR 1's
@@ -153,11 +155,12 @@ class Engine {
   Future<Reply> submit(Request request);
 
   /// submit()'s synchronous twin: runs `request` on the calling thread
-  /// through the synchronous façade above (same caches, in-flight
-  /// coalescing, disk tier and validation) and returns the same-index Reply
-  /// alternative.  For a caller that would block on submit().get() anyway,
-  /// such as a gcr-server connection, it keeps the work and its allocations
-  /// on that thread instead of handing them to a pool worker.
+  /// through the same per-kind row as the synchronous façade above (same
+  /// caches, in-flight coalescing, disk tier and validation) and returns
+  /// the same-index Reply alternative.  For a caller that would block on
+  /// submit().get() anyway, such as a gcr-server connection, it keeps the
+  /// work and its allocations on that thread instead of handing them to a
+  /// pool worker.
   Reply run(Request request);
 
   /// Batch measure with slot-per-task determinism: result i belongs to

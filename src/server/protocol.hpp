@@ -24,7 +24,8 @@
 // MulticoreProfile) reuse the persistent store's canonical codecs
 // (store/codec.hpp) verbatim, so a reply is byte-identical to what an
 // in-process Engine run would have serialized — the property
-// bench_server_load gates on.  WireArtifact<T> below pairs each served
+// Server.*MatchesDirectEngine* (tests/server/) and perfbench's server_mix
+// digests check.  WireArtifact<T> below pairs each served
 // artifact with its request struct and message kinds.
 //
 // The protocol is versioned by rejection, like the store format: a server

@@ -2,11 +2,15 @@
 // determinism across thread counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
+#include "interp/layout.hpp"
+#include "ir/builder.hpp"
 #include "ir/print.hpp"
 
 namespace gcr {
@@ -17,6 +21,23 @@ bool sameSimulatedFields(const Measurement& a, const Measurement& b) {
          a.cycles == b.cycles &&
          a.memoryTrafficBytes == b.memoryTrafficBytes &&
          a.effectiveBandwidth == b.effectiveBandwidth;
+}
+
+/// Cached values replay verbatim: even wall-clock fields must agree.
+bool byteIdentical(const Measurement& a, const Measurement& b) {
+  return sameSimulatedFields(a, b) && a.wallSeconds == b.wallSeconds &&
+         a.accessesPerSecond == b.accessesPerSecond;
+}
+
+/// A program that writes one element past its array on the last iteration:
+/// the plan compiler declines it, so the Engine falls back to the tree
+/// walker, which throws gcr::Error inside the computation.
+ProgramVersion outOfBoundsVersion() {
+  ProgramBuilder b("oob");
+  ArrayId a = b.array("A", {AffineN::N()});
+  b.loop("i", 0, AffineN::N(),
+         [&](IxVar i) { b.assign(b.ref(a, {i}), {}); });
+  return ProgramVersion{"oob", b.take(), contiguousLayout};
 }
 
 TEST(EngineAsync, SubmitResolvesToSyncResult) {
@@ -68,6 +89,118 @@ TEST(EngineAsync, InFlightDuplicatesCoalesceUnderFourThreads) {
   EXPECT_EQ(s.measurement.hits + s.inflightCoalesced,
             static_cast<std::uint64_t>(kDup - 1));
   EXPECT_EQ(s.measurement.entries, 1u);
+}
+
+TEST(EngineAsync, SyncAndAsyncDuplicatesShareOneComputation) {
+  Engine engine(EngineConfig{}.withThreads(4));
+  Program p = apps::buildApp("Tomcatv");
+  const ProgramVersion v = engine.version(p, Strategy::Fused);
+  const MachineConfig m = MachineConfig::origin2000();
+
+  // N synchronous measure() calls on their own threads race N submit()s of
+  // the same key: one simulation runs, and every other caller, on either
+  // path, is a cache hit or attaches to that one computation.
+  constexpr int kDup = 8;
+  std::vector<Measurement> syncResults(kDup);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kDup; ++i)
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      syncResults[static_cast<std::size_t>(i)] = engine.measure(v, 40, m, 2);
+    });
+  go.store(true);
+  std::vector<Future<Reply>> futures;
+  for (int i = 0; i < kDup; ++i)
+    futures.push_back(
+        engine.submit(MeasureTask{v.clone(), 40, m, 2, CostModel{}}));
+  for (std::thread& t : threads) t.join();
+
+  const Measurement& first = syncResults[0];
+  for (const Measurement& r : syncResults) EXPECT_TRUE(byteIdentical(first, r));
+  for (const Future<Reply>& f : futures)
+    EXPECT_TRUE(byteIdentical(first, replyAs<Measurement>(f.get())));
+  const Engine::Stats s = engine.stats();
+  EXPECT_EQ(s.measurement.entries, 1u);
+  EXPECT_EQ(s.measurement.hits + s.inflightCoalesced,
+            static_cast<std::uint64_t>(2 * kDup - 1));
+}
+
+TEST(EngineAsync, ThrowingComputationFailsEveryWaiterAndCachesNothing) {
+  Engine engine(EngineConfig{}.withThreads(4));
+  const ProgramVersion v = outOfBoundsVersion();
+  const MachineConfig m = MachineConfig::origin2000();
+  // Large enough that the walker runs a while before the last iteration
+  // throws, so duplicates have a window to attach.
+  constexpr std::int64_t n = 1 << 16;
+
+  constexpr int kDup = 4;
+  std::atomic<int> syncErrors{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kDup; ++i)
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      try {
+        (void)engine.measure(v, n, m);
+      } catch (const Error&) {
+        ++syncErrors;
+      }
+    });
+  go.store(true);
+  std::vector<Future<Reply>> futures;
+  for (int i = 0; i < kDup; ++i)
+    futures.push_back(engine.submit(MeasureTask{v.clone(), n, m}));
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(syncErrors.load(), kDup);
+  for (const Future<Reply>& f : futures) EXPECT_THROW(f.get(), Error);
+
+  // The failed key left no cache entry and no in-flight entry behind: each
+  // retry, on either path, starts (and fails) a computation of its own
+  // instead of attaching to the finished one.
+  const Engine::Stats before = engine.stats();
+  EXPECT_EQ(before.measurement.entries, 0u);
+  EXPECT_THROW(engine.measure(v, n, m), Error);
+  EXPECT_THROW(engine.submit(MeasureTask{v.clone(), n, m}).get(), Error);
+  const Engine::Stats after = engine.stats();
+  EXPECT_EQ(after.measurement.entries, 0u);
+  EXPECT_EQ(after.measurement.misses, before.measurement.misses + 2);
+  EXPECT_EQ(after.inflightCoalesced, before.inflightCoalesced);
+}
+
+TEST(EngineAsync, SecondBatchPassIsServedFromTheCaches) {
+  Engine engine(EngineConfig{}.withThreads(4));
+  const MachineConfig m = MachineConfig::origin2000();
+  std::vector<MeasureTask> measures;
+  std::vector<ReuseTask> profiles;
+  for (const char* app : {"ADI", "Swim", "Tomcatv", "SP"}) {
+    Program p = apps::buildApp(app);
+    for (Strategy s : {Strategy::NoOpt, Strategy::FusedRegrouped}) {
+      measures.push_back({engine.version(p, s), 20, m, 1, CostModel{}});
+      profiles.push_back({engine.version(p, s), 20, 1});
+    }
+  }
+  const std::vector<Measurement> cold = engine.measureAll(measures);
+  const std::vector<ReuseProfile> coldProfiles =
+      engine.reuseProfilesOf(profiles);
+  const Engine::Stats before = engine.stats();
+
+  // The warm pass adds no miss in any cache and replays every result.
+  const std::vector<Measurement> warm = engine.measureAll(measures);
+  const std::vector<ReuseProfile> warmProfiles =
+      engine.reuseProfilesOf(profiles);
+  const Engine::Stats after = engine.stats();
+  EXPECT_EQ(after.measurement.misses, before.measurement.misses);
+  EXPECT_EQ(after.profile.misses, before.profile.misses);
+  EXPECT_EQ(after.plan.misses, before.plan.misses);
+  EXPECT_EQ(after.measurement.hits, before.measurement.hits + measures.size());
+  EXPECT_EQ(after.profile.hits, before.profile.hits + profiles.size());
+  ASSERT_EQ(cold.size(), warm.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_TRUE(byteIdentical(cold[i], warm[i])) << "slot " << i;
+    EXPECT_EQ(coldProfiles[i].accesses, warmProfiles[i].accesses);
+    EXPECT_EQ(coldProfiles[i].distinctData, warmProfiles[i].distinctData);
+  }
 }
 
 TEST(EngineAsync, PipelineFutureMatchesDirectRun) {

@@ -416,12 +416,23 @@ TEST(Server, TruncatedFrameDisconnectIsHandled) {
     const std::vector<std::uint8_t> bytes = encodeFrameHeader(h);
     ASSERT_TRUE(raw.sendBytes(bytes.data(), bytes.size()));
   }
-  // Both connections died mid-frame; the daemon must not care.
+  // Both connections died mid-frame; the daemon must not care.  Each dying
+  // connection's server thread counts its framing error only after it reads
+  // the EOF, so poll the counter (with a deadline) rather than read it once.
   auto probe = Client::connect(ts.socketPath, "probe");
   ASSERT_NE(probe, nullptr);
-  const Result<StatsReply> stats = probe->stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats->server.framingErrors, 1u);
+  std::uint64_t framingErrors = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const Result<StatsReply> stats = probe->stats();
+    ASSERT_TRUE(stats.ok());
+    framingErrors = stats->server.framingErrors;
+    if (framingErrors >= 1 || std::chrono::steady_clock::now() > deadline)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(framingErrors, 1u);
 }
 
 TEST(Server, UndecodablePayloadKeepsSessionOpen) {

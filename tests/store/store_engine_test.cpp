@@ -118,6 +118,8 @@ TEST(StoreEngine, WarmDiskReproducesFig9AppSweep) {
   // The bench_fig9_apps shape at test size: every paper app, three
   // strategies — a cold process on a warm disk must reproduce the sweep
   // exactly, which is what makes BENCH results reproducible across runs.
+  // It must also recompute nothing: every pipeline run, measurement and
+  // reuse profile replays from the disk (no store put, no rejected entry).
   testing::ScopedTempDir dir("gcr-engine-store");
   const MachineConfig machine = MachineConfig::origin2000();
   const std::vector<std::string> apps = {"ADI", "Swim", "Tomcatv", "SP"};
@@ -125,12 +127,16 @@ TEST(StoreEngine, WarmDiskReproducesFig9AppSweep) {
       Strategy::NoOpt, Strategy::Fused, Strategy::FusedRegrouped};
 
   std::vector<Measurement> firstRun;
+  std::vector<ReuseProfile> firstProfiles;
   {
     Engine warm(optionsWithDir(dir.path()));
     for (const std::string& app : apps) {
       const Program p = apps::buildApp(app);
-      for (Strategy s : strategies)
-        firstRun.push_back(warm.measure(warm.version(p, s), 16, machine));
+      for (Strategy s : strategies) {
+        const ProgramVersion v = warm.version(p, s);
+        firstRun.push_back(warm.measure(v, 16, machine));
+        firstProfiles.push_back(warm.reuseProfile(v, 16));
+      }
     }
   }
 
@@ -139,15 +145,22 @@ TEST(StoreEngine, WarmDiskReproducesFig9AppSweep) {
   for (const std::string& app : apps) {
     const Program p = apps::buildApp(app);
     for (Strategy s : strategies) {
-      const Measurement replay =
-          cold.measure(cold.version(p, s), 16, machine);
+      const ProgramVersion v = cold.version(p, s);
+      const Measurement replay = cold.measure(v, 16, machine);
       EXPECT_TRUE(bitIdentical(firstRun[i], replay))
+          << app << " strategy " << static_cast<int>(s);
+      EXPECT_TRUE(sameProfile(firstProfiles[i], cold.reuseProfile(v, 16)))
           << app << " strategy " << static_cast<int>(s);
       ++i;
     }
   }
-  EXPECT_EQ(cold.stats().measurement.hits, 0u);  // memory was cold
-  EXPECT_GE(cold.stats().store.hits, firstRun.size());
+  const Engine::Stats s = cold.stats();
+  EXPECT_EQ(s.measurement.hits, 0u);  // memory was cold
+  EXPECT_EQ(s.profile.hits, 0u);
+  // One pipeline run, one measurement and one profile per version.
+  EXPECT_EQ(s.store.hits, 3 * firstRun.size());
+  EXPECT_EQ(s.store.puts, 0u);
+  EXPECT_EQ(s.store.corruptRejected, 0u);
 }
 
 TEST(StoreEngine, CacheDirEnvironmentVariableIsPickedUp) {
