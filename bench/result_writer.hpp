@@ -51,23 +51,14 @@ class ResultWriter {
   /// was attached).
   void addEngineStats(const Engine::Stats& s) {
     json_.key("engine_cache").beginObject();
-    cacheObject("pipeline", s.pipeline);
-    cacheObject("plan", s.plan);
-    cacheObject("measurement", s.measurement);
-    cacheObject("profile", s.profile);
-    cacheObject("symbolic", s.symbolic);
-    cacheObject("multicore", s.multicore);
+    writeJson(json_.key("pipeline"), s.pipeline);
+    writeJson(json_.key("plan"), s.plan);
+    writeJson(json_.key("measurement"), s.measurement);
+    writeJson(json_.key("profile"), s.profile);
+    writeJson(json_.key("symbolic"), s.symbolic);
+    writeJson(json_.key("multicore"), s.multicore);
     json_.field("inflight_coalesced", s.inflightCoalesced);
-    json_.key("store").beginObject();
-    json_.field("hits", s.store.hits);
-    json_.field("misses", s.store.misses);
-    json_.field("puts", s.store.puts);
-    json_.field("put_failures", s.store.putFailures);
-    json_.field("corrupt_rejected", s.store.corruptRejected);
-    json_.field("evictions", s.store.evictions);
-    json_.field("bytes_loaded", s.store.bytesLoaded);
-    json_.field("bytes_stored", s.store.bytesStored);
-    json_.endObject();
+    store::writeJson(json_.key("store"), s.store);
     json_.endObject();
   }
 
@@ -88,15 +79,6 @@ class ResultWriter {
   const std::string& path() const { return path_; }
 
  private:
-  void cacheObject(std::string_view name, const CacheCounters& c) {
-    json_.key(name).beginObject();
-    json_.field("hits", c.hits);
-    json_.field("misses", c.misses);
-    json_.field("evictions", c.evictions);
-    json_.field("entries", c.entries);
-    json_.endObject();
-  }
-
   JsonWriter json_;
   std::string path_;
   std::chrono::steady_clock::time_point start_;

@@ -545,4 +545,13 @@ void Engine::clearCaches() {
   std::apply([](auto&... cache) { (cache.clear(), ...); }, impl_->caches);
 }
 
+void writeJson(JsonWriter& j, const CacheCounters& c) {
+  j.beginObject();
+  j.field("hits", c.hits);
+  j.field("misses", c.misses);
+  j.field("evictions", c.evictions);
+  j.field("entries", c.entries);
+  j.endObject();
+}
+
 }  // namespace gcr

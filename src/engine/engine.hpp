@@ -189,4 +189,8 @@ class Engine {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Writes one cache's counters as a JSON object, the form gcr-verify
+/// --server and the bench result envelope both print.
+void writeJson(JsonWriter& j, const CacheCounters& c);
+
 }  // namespace gcr

@@ -55,16 +55,18 @@ class Regrouping {
   static Regrouping analyze(const Program& p, const RegroupOptions& opts = {},
                             RegroupReport* report = nullptr);
 
-  /// Rebuild a Regrouping from its partitions, exactly as exposed by
-  /// maxRank()/partitionAt() — the deserialization path of the persistent
-  /// artifact store (store/codec.hpp).  The caller vouches that the
-  /// partitions came from analyze() on the same program.
-  static Regrouping fromPartitions(
-      std::vector<std::vector<std::vector<ArrayId>>> partitions) {
+  /// Per-dimension partitions; partitions()[d] is partitionAt(d).
+  using Partitions = std::vector<std::vector<std::vector<ArrayId>>>;
+
+  /// Rebuild a Regrouping from its partitions(), the deserialization path
+  /// of the persistent artifact store (store/codec.hpp).  The caller vouches
+  /// that the partitions came from analyze() on the same program.
+  static Regrouping fromPartitions(Partitions partitions) {
     Regrouping rg;
     rg.partitions_ = std::move(partitions);
     return rg;
   }
+  const Partitions& partitions() const { return partitions_; }
 
   /// Materialize the layout at problem size n.
   DataLayout layout(const Program& p, std::int64_t n) const;
@@ -81,7 +83,7 @@ class Regrouping {
  private:
   // partitions_[d] = partition of all arrays at dimension d (arrays of rank
   // <= d appear as singletons).  partitions_[d] refines partitions_[d-1].
-  std::vector<std::vector<std::vector<ArrayId>>> partitions_;
+  Partitions partitions_;
 };
 
 /// Regrouping legality as structured diagnostics.  Regrouping only relocates

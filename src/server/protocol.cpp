@@ -7,116 +7,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <concepts>
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
-#include <utility>
 
 #include "support/assert.hpp"
 
-namespace gcr::server {
-
-namespace {
-
-// Every payload codec writes a leading version word, mirroring the store
-// codecs: payload encodings can evolve independently of the frame format.
-// v2: StatsReply gained the symbolic-profile cache counters.
-// v3: MulticoreRequest added; StatsReply gained the multicore cache
-//     counters.
-// v4: StatsReply dropped the seven native-tier counters (tier removed).
-// v5: MulticoreRequest gained the multicore cost model.
-constexpr std::uint32_t kCodecVersion = 5;
-
-template <typename S, typename T>
-concept Is = std::same_as<std::remove_const_t<S>, T>;
-
 // --- field lists ------------------------------------------------------------
-// Each payload struct lists its fields once, in wire order.  Put writes the
-// list and Get reads it back, so an encoder and its decoder cannot drift
-// apart.  int fields travel as u32, 64-bit integers as i64/u64, enums as
-// u32, a vector as a u64 count and its elements.
+// Each payload struct's fields, once, in wire order (the width rule is in
+// support/serialize.hpp).  They live in namespace gcr, where Put and Get
+// find them.
 
-/// Writes each field.
-struct Put {
-  ByteWriter& w;
-
-  template <typename... Ts>
-  void operator()(const Ts&... fields) {
-    (one(fields), ...);
-  }
-  template <typename E>
-  void bounded(E e, E) {
-    one(e);
-  }
-
-  void one(std::int64_t v) { w.i64(v); }
-  void one(std::uint64_t v) { w.u64(v); }
-  void one(int v) { w.u32(static_cast<std::uint32_t>(v)); }
-  void one(std::uint32_t v) { w.u32(v); }
-  void one(double v) { w.f64(v); }
-  void one(bool v) { w.b(v); }
-  void one(const std::string& v) { w.str(v); }
-  template <typename E>
-    requires std::is_enum_v<E>
-  void one(E e) {
-    w.u32(static_cast<std::uint32_t>(e));
-  }
-  template <typename T>
-  void one(const std::vector<T>& v) {
-    w.u64(v.size());
-    for (const T& x : v) one(x);
-  }
-  template <typename T>
-    requires std::is_class_v<T>
-  void one(const T& v) {
-    fields(*this, v);
-  }
-};
-
-/// Reads each field back.  A truncated input, a count that cannot fit, or
-/// an enum past its bound throws gcr::Error, which decodeWith() turns into
-/// nullopt.
-struct Get {
-  ByteReader& r;
-
-  template <typename... Ts>
-  void operator()(Ts&... fields) {
-    (one(fields), ...);
-  }
-  template <typename E>
-  void bounded(E& e, E last) {
-    const std::uint32_t v = r.u32();
-    GCR_CHECK(v <= static_cast<std::uint32_t>(last), "enum out of range");
-    e = static_cast<E>(v);
-  }
-
-  void one(std::int64_t& v) { v = r.i64(); }
-  void one(std::uint64_t& v) { v = r.u64(); }
-  void one(int& v) { v = static_cast<int>(r.u32()); }
-  void one(std::uint32_t& v) { v = r.u32(); }
-  void one(double& v) { v = r.f64(); }
-  void one(bool& v) { v = r.b(); }
-  void one(std::string& v) { v = r.str(); }
-  template <typename E>
-    requires std::is_enum_v<E>
-  void one(E& e) {
-    e = static_cast<E>(r.u32());
-  }
-  template <typename T>
-  void one(std::vector<T>& v) {
-    // Every element type on the wire is at least 8 bytes (a string's
-    // length prefix or a u64), so a count that cannot fit throws before
-    // anything is allocated.
-    const std::size_t n = r.seqLen(8);
-    for (std::size_t i = 0; i < n; ++i) one(v.emplace_back());
-  }
-  template <typename T>
-    requires std::is_class_v<T>
-  void one(T& v) {
-    fields(*this, v);
-  }
-};
+namespace gcr {
 
 template <typename IO>
 void fields(IO& io, Is<CacheConfig> auto& c) {
@@ -137,57 +38,59 @@ void fields(IO& io, Is<MulticoreCostModel> auto& c) {
 template <typename IO>
 void fields(IO& io, Is<CacheTopology> auto& t) {
   io(t.cores);
-  io.bounded(t.schedule, ParallelSchedule::Cyclic);
+  io.bounded(t.schedule, ParallelSchedule::Block, ParallelSchedule::Cyclic);
   io(t.l1, t.l2, t.llc, t.name);
 }
 template <typename IO>
-void fields(IO& io, Is<WorkSpec> auto& s) {
+void fields(IO& io, Is<server::WorkSpec> auto& s) {
   io(s.app);
-  io.bounded(s.strategy, Strategy::RegroupedOnly);
+  io.bounded(s.strategy, Strategy::NoOpt, Strategy::RegroupedOnly);
   io(s.fusionLevels, s.padBytes);
 }
 template <typename IO>
-void fields(IO& io, Is<HelloRequest> auto& h) {
+void fields(IO& io, Is<server::HelloRequest> auto& h) {
   io(h.tenant);
 }
 template <typename IO>
-void fields(IO& io, Is<OptimizeRequest> auto& o) {
+void fields(IO& io, Is<server::OptimizeRequest> auto& o) {
   io(o.spec);
 }
 template <typename IO>
-void fields(IO& io, Is<MeasureRequest> auto& m) {
+void fields(IO& io, Is<server::MeasureRequest> auto& m) {
   io(m.spec, m.n, m.timeSteps, m.machine, m.cost);
 }
 template <typename IO>
-void fields(IO& io, Is<ProfileRequest> auto& p) {
+void fields(IO& io, Is<server::ProfileRequest> auto& p) {
   io(p.spec, p.n, p.timeSteps);
 }
 template <typename IO>
-void fields(IO& io, Is<VerifyRequest> auto& v) {
+void fields(IO& io, Is<server::VerifyRequest> auto& v) {
   io(v.app, v.minN);
 }
 template <typename IO>
-void fields(IO& io, Is<MulticoreRequest> auto& m) {
+void fields(IO& io, Is<server::MulticoreRequest> auto& m) {
   io(m.spec, m.n, m.timeSteps, m.topology, m.cost);
 }
 template <typename IO>
-void fields(IO& io, Is<HelloReply> auto& h) {
+void fields(IO& io, Is<server::HelloReply> auto& h) {
   io(h.protocolVersion, h.serverName);
 }
 template <typename IO>
-void fields(IO& io, Is<ErrorReply> auto& e) {
-  io(e.code, e.message);
+void fields(IO& io, Is<server::ErrorReply> auto& e) {
+  io.bounded(e.code, server::ErrorCode::MalformedFrame,
+             server::ErrorCode::ProtocolViolation);
+  io(e.message);
 }
 template <typename IO>
-void fields(IO& io, Is<VerifyReply> auto& v) {
+void fields(IO& io, Is<server::VerifyReply> auto& v) {
   io(v.notes, v.warnings, v.errors, v.diagnostics);
 }
 template <typename IO>
-void fields(IO& io, Is<TenantStats> auto& t) {
+void fields(IO& io, Is<server::TenantStats> auto& t) {
   io(t.tenant, t.admitted, t.busyRejected);
 }
 template <typename IO>
-void fields(IO& io, Is<ServerCounters> auto& c) {
+void fields(IO& io, Is<server::ServerCounters> auto& c) {
   io(c.connectionsAccepted, c.connectionsRejected, c.requestsAdmitted,
      c.requestsBusyRejected, c.requestsErrored, c.framingErrors,
      c.repliesSent, c.draining);
@@ -207,9 +110,26 @@ void fields(IO& io, Is<Engine::Stats> auto& e) {
      e.inflightCoalesced, e.store);
 }
 template <typename IO>
-void fields(IO& io, Is<StatsReply> auto& r) {
+void fields(IO& io, Is<server::StatsReply> auto& r) {
   io(r.server, r.tenants, r.engine, r.cacheDir);
 }
+
+}  // namespace gcr
+
+namespace gcr::server {
+
+namespace {
+
+// Every payload codec writes a leading version word, mirroring the store
+// codecs: payload encodings can evolve independently of the frame format.
+// v2: StatsReply gained the symbolic-profile cache counters.
+// v3: MulticoreRequest added; StatsReply gained the multicore cache
+//     counters.
+// v4: StatsReply dropped the seven native-tier counters (tier removed).
+// v5: MulticoreRequest gained the multicore cost model.
+// v6: the store codecs' width rule: an int travels as i64 (was u32) and an
+//     enum as a range-checked u8 (was u32).
+constexpr std::uint32_t kCodecVersion = 6;
 
 /// Read exactly n bytes; 1 = ok, 0 = clean EOF before any byte, -1 = error
 /// or EOF mid-read.
@@ -289,19 +209,12 @@ std::optional<FrameHeader> decodeFrameHeader(
 
 template <typename T>
 std::vector<std::uint8_t> encodePayload(const T& msg) {
-  ByteWriter w;
-  w.u32(kCodecVersion);
-  Put{w}(msg);
-  return w.take();
+  return encodeFields(kCodecVersion, msg);
 }
 
 template <typename T>
 std::optional<T> decodePayload(std::span<const std::uint8_t> bytes) {
-  return decodeWith<T>(bytes, kCodecVersion, [](ByteReader& r) {
-    T msg;
-    Get{r}(msg);
-    return msg;
-  });
+  return decodeFields<T>(bytes, kCodecVersion);
 }
 
 // Every payload type of protocol.hpp.

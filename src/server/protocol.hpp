@@ -1,8 +1,8 @@
 // Wire protocol of the gcr optimization service (DESIGN.md §8).
 //
 // Every message in either direction is one *frame*: a fixed 20-byte header
-// followed by a payload encoded with the store's deterministic binary
-// primitives (support/serialize.hpp):
+// followed by a payload encoded with the field-list codec the store uses
+// too (support/serialize.hpp):
 //
 //   offset  size  field
 //        0     4  magic "GCRF" (LE u32 0x46524347)
@@ -216,9 +216,11 @@ struct StatsReply {
 // --- payload codecs ---------------------------------------------------------
 // One codec for every payload struct above: a leading codec version word,
 // then the struct's fields in wire order, as protocol.cpp lists them once
-// for both directions.  Deterministic and defensive: decodePayload() of
-// arbitrary bytes returns nullopt (never throws, never over-reads), and
-// rejects trailing bytes and out-of-range enums.
+// for both directions, under the width rule of support/serialize.hpp (an
+// int is an i64, an enum a u8).  Deterministic and defensive:
+// decodePayload() of arbitrary bytes returns nullopt (never throws, never
+// over-reads), and rejects trailing bytes, ints that do not fit an int,
+// and out-of-range enums.
 
 template <typename T>
 std::vector<std::uint8_t> encodePayload(const T& msg);

@@ -3,7 +3,14 @@
 // tree and the Regrouping partitions, so a deserialized result can
 // materialize layouts and assemble versions exactly like a fresh run).
 //
-// Contracts, enforced by tests/store/store_codec_test.cpp:
+// Each artifact struct is one field list in codec.cpp, written and read
+// back by the field-list codec of support/serialize.hpp under its width
+// rule; hand-written code remains only where the format is not a field
+// list (the program node tag, histograms, regroupings, symbolic
+// expressions and the symbolic profile's interleaved sites).
+//
+// Contracts, enforced by tests/store/store_codec_test.cpp and pinned to
+// fixed bytes by tests/store/store_golden_test.cpp:
 //   * round trip — decode(encode(x)) reproduces every field of x, doubles
 //     bit-for-bit (NaN included);
 //   * canonical — encode(decode(encode(x))) == encode(x) byte-for-byte,

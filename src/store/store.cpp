@@ -339,4 +339,17 @@ StoreCounters ArtifactStore::counters() const {
   return counters_;
 }
 
+void writeJson(JsonWriter& j, const StoreCounters& c) {
+  j.beginObject();
+  j.field("hits", c.hits);
+  j.field("misses", c.misses);
+  j.field("puts", c.puts);
+  j.field("put_failures", c.putFailures);
+  j.field("corrupt_rejected", c.corruptRejected);
+  j.field("evictions", c.evictions);
+  j.field("bytes_loaded", c.bytesLoaded);
+  j.field("bytes_stored", c.bytesStored);
+  j.endObject();
+}
+
 }  // namespace gcr::store

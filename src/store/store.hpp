@@ -33,6 +33,7 @@
 #include "engine/signature.hpp"
 #include "store/format.hpp"
 #include "store/io.hpp"
+#include "support/json.hpp"
 
 namespace gcr::store {
 
@@ -49,6 +50,10 @@ struct StoreCounters {
   std::uint64_t bytesLoaded = 0;     ///< payload bytes served by hits
   std::uint64_t bytesStored = 0;     ///< payload bytes published
 };
+
+/// Writes the counters as one JSON object, the form gcr-verify --server
+/// and the bench result envelope both print.
+void writeJson(JsonWriter& j, const StoreCounters& c);
 
 /// Checksum-validated, read-only view of one stored payload, backed by a
 /// private mmap of the entry file; the view stays valid for the lifetime of

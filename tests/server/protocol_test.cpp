@@ -267,6 +267,66 @@ TEST(Protocol, MulticoreRequestV4PayloadDecodesToNullopt) {
   EXPECT_FALSE(decodePayload<MulticoreRequest>(layoutOnly).has_value());
 }
 
+TEST(Protocol, MeasureRequestV5PayloadDecodesToNullopt) {
+  // Codec v5 wrote ints and enums as u32; v6 writes ints as i64 and enums
+  // as u8, the store codecs' width rule.  A v5 payload (an older client)
+  // is refused, never misread as v6.
+  MeasureRequest req;
+  req.spec.app = "ADI";
+  req.spec.strategy = Strategy::Fused;
+  req.machine = MachineConfig::origin2000();
+  const std::vector<std::uint8_t> v6 = encodePayload(req);
+  ASSERT_TRUE(decodePayload<MeasureRequest>(v6).has_value());
+
+  auto cacheV5 = [](ByteWriter& w, const CacheConfig& c) {
+    w.i64(c.sizeBytes).i64(c.lineSize).u32(static_cast<std::uint32_t>(c.ways));
+    w.str(c.name);
+  };
+  ByteWriter w;
+  w.u32(5).str(req.spec.app);
+  w.u32(static_cast<std::uint32_t>(req.spec.strategy));
+  w.u32(static_cast<std::uint32_t>(req.spec.fusionLevels));
+  w.i64(req.spec.padBytes).i64(req.n).u64(req.timeSteps);
+  cacheV5(w, req.machine.l1);
+  cacheV5(w, req.machine.l2);
+  w.u32(static_cast<std::uint32_t>(req.machine.tlbEntries));
+  w.i64(req.machine.pageSize).b(req.machine.l2NextLinePrefetch);
+  w.str(req.machine.name);
+  w.f64(req.cost.refCost).f64(req.cost.l1MissCost);
+  w.f64(req.cost.l2MissCost).f64(req.cost.tlbMissCost);
+  const std::vector<std::uint8_t> v5 = w.take();
+  EXPECT_FALSE(decodePayload<MeasureRequest>(v5).has_value());
+
+  // Neither half of the change alone is accepted either.
+  std::vector<std::uint8_t> tagOnly = v6;
+  std::copy(v5.begin(), v5.begin() + 4, tagOnly.begin());
+  EXPECT_FALSE(decodePayload<MeasureRequest>(tagOnly).has_value());
+  std::vector<std::uint8_t> layoutOnly = v5;
+  std::copy(v6.begin(), v6.begin() + 4, layoutOnly.begin());
+  EXPECT_FALSE(decodePayload<MeasureRequest>(layoutOnly).has_value());
+}
+
+TEST(Protocol, ErrorReplyWithOutOfRangeCodeDecodesToNullopt) {
+  // The code is the u8 right after the codec version word.
+  const std::vector<std::uint8_t> bytes =
+      encodePayload(ErrorReply{ErrorCode::Busy, "m"});
+  ASSERT_EQ(bytes[4], static_cast<std::uint8_t>(ErrorCode::Busy));
+  for (std::uint8_t code : {std::uint8_t{0}, std::uint8_t{10},
+                            std::uint8_t{0xFF}}) {
+    std::vector<std::uint8_t> mutant = bytes;
+    mutant[4] = code;
+    EXPECT_FALSE(decodePayload<ErrorReply>(mutant).has_value())
+        << "code " << int{code};
+  }
+  for (std::uint8_t code = 1; code <= 9; ++code) {
+    std::vector<std::uint8_t> valid = bytes;
+    valid[4] = code;
+    const auto back = decodePayload<ErrorReply>(valid);
+    ASSERT_TRUE(back.has_value()) << "code " << int{code};
+    EXPECT_EQ(static_cast<std::uint8_t>(back->code), code);
+  }
+}
+
 // The Engine request each Reply alternative T answers, for one app.
 template <typename T>
 Request requestFor(Engine& engine, const std::string& app) {

@@ -582,7 +582,9 @@ TEST(Server, StatsServedWhileDrainingReportsDraining) {
   std::thread drainer([&] { ts.server->drainAndStop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const Result<StatsReply> stats = client->stats();
-  if (stats.ok()) EXPECT_TRUE(stats->server.draining);
+  if (stats.ok()) {
+    EXPECT_TRUE(stats->server.draining);
+  }
   client.reset();  // unblock the drain's half-close handshake
   drainer.join();
   slow.join();

@@ -4,6 +4,7 @@
 // 25-seed random-program corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "store/codec.hpp"
 #include "store/store.hpp"
 #include "support/prng.hpp"
+#include "support/serialize.hpp"
 
 namespace gcr::store {
 namespace {
@@ -222,6 +224,31 @@ TEST(StoreCodec, DecodeRejectsTruncationAndTrailingBytes) {
   auto rLonger = rBytes;
   rLonger.push_back(7);
   EXPECT_FALSE(decodePipelineResult(rLonger).has_value());
+}
+
+TEST(StoreCodec, DecodeRejectsIntThatDoesNotFitAnInt) {
+  // An int travels as an i64; a stored word past the int range is
+  // corruption, never truncated into a plausible count.
+  PipelineResult r = runPipeline(testing::randomProgram(3),
+                                 pipelineOptionsFor(Strategy::FusedRegrouped));
+  r.fusionReport.fusions = 0x6C7A11ED;  // a marker no other word matches
+  std::vector<std::uint8_t> bytes = encodePipelineResult(r);
+  ASSERT_TRUE(decodePipelineResult(bytes).has_value());
+
+  ByteWriter marker;
+  marker.i64(r.fusionReport.fusions);
+  const std::vector<std::uint8_t> word = marker.take();
+  const auto at = std::search(bytes.begin(), bytes.end(), word.begin(),
+                              word.end());
+  ASSERT_NE(at, bytes.end());
+  ASSERT_EQ(std::search(at + 1, bytes.end(), word.begin(), word.end()),
+            bytes.end());  // the fusions word is the only match
+
+  ByteWriter big;
+  big.i64(std::int64_t{1} << 40);
+  const std::vector<std::uint8_t> bigWord = big.take();
+  std::copy(bigWord.begin(), bigWord.end(), at);
+  EXPECT_FALSE(decodePipelineResult(bytes).has_value());
 }
 
 TEST(StoreCodec, DecodeRejectsWrongCodecVersion) {

@@ -456,16 +456,6 @@ int runStoreStats(const std::string& dir) {
   return 0;
 }
 
-void putCacheCounters(JsonWriter& j, const char* name,
-                      const CacheCounters& c) {
-  j.key(name).beginObject();
-  j.field("hits", c.hits);
-  j.field("misses", c.misses);
-  j.field("evictions", c.evictions);
-  j.field("entries", c.entries);
-  j.endObject();
-}
-
 /// --server: connect to a running daemon as tenant "gcr-verify", fetch its
 /// Stats reply, and print the counters as one JSON object — the operator's
 /// liveness + observability ping (served even while the server drains).
@@ -515,25 +505,15 @@ int runServerPing(const std::string& address) {
 
   const Engine::Stats& e = stats->engine;
   j.key("engine").beginObject();
-  putCacheCounters(j, "pipeline", e.pipeline);
-  putCacheCounters(j, "plan", e.plan);
-  putCacheCounters(j, "measurement", e.measurement);
-  putCacheCounters(j, "profile", e.profile);
-  putCacheCounters(j, "symbolic", e.symbolic);
-  putCacheCounters(j, "multicore", e.multicore);
+  writeJson(j.key("pipeline"), e.pipeline);
+  writeJson(j.key("plan"), e.plan);
+  writeJson(j.key("measurement"), e.measurement);
+  writeJson(j.key("profile"), e.profile);
+  writeJson(j.key("symbolic"), e.symbolic);
+  writeJson(j.key("multicore"), e.multicore);
   j.field("inflight_coalesced", e.inflightCoalesced);
   j.endObject();
-
-  j.key("store").beginObject();
-  j.field("hits", e.store.hits);
-  j.field("misses", e.store.misses);
-  j.field("puts", e.store.puts);
-  j.field("put_failures", e.store.putFailures);
-  j.field("corrupt_rejected", e.store.corruptRejected);
-  j.field("evictions", e.store.evictions);
-  j.field("bytes_loaded", e.store.bytesLoaded);
-  j.field("bytes_stored", e.store.bytesStored);
-  j.endObject();
+  store::writeJson(j.key("store"), e.store);
 
   j.endObject();
   std::printf("%s\n", j.str().c_str());
