@@ -1,6 +1,7 @@
 #include "ir/stats.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -31,6 +32,20 @@ ProgramStats computeStats(const Program& p) {
   return st;
 }
 
+namespace {
+
+constexpr std::uint64_t satAdd(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+constexpr std::uint64_t satMul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+}  // namespace
+
 std::uint64_t estimateDynamicRefs(const Program& p, std::int64_t n,
                                   std::uint64_t timeSteps) {
   std::uint64_t total = 0;
@@ -40,11 +55,18 @@ std::uint64_t estimateDynamicRefs(const Program& p, std::int64_t n,
     for (const Loop* l : stack) {
       const std::int64_t lo = l->lo.eval(n);
       const std::int64_t hi = l->hi.eval(n);
-      iters *= hi >= lo ? static_cast<std::uint64_t>(hi - lo + 1) : 0;
+      // hi - lo in unsigned arithmetic is exact for hi >= lo; only the +1
+      // can overflow, for the full int64 range.
+      const std::uint64_t trips =
+          hi >= lo ? satAdd(static_cast<std::uint64_t>(hi) -
+                                static_cast<std::uint64_t>(lo),
+                            1)
+                   : 0;
+      iters = satMul(iters, trips);
     }
-    total += iters * (a.rhs.size() + 1);
+    total = satAdd(total, satMul(iters, a.rhs.size() + 1));
   });
-  return total * timeSteps;
+  return satMul(total, timeSteps);
 }
 
 std::string ProgramStats::summary() const {

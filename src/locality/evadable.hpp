@@ -50,7 +50,7 @@ class PairwiseReuseCollector final : public InstrSink {
                std::uint64_t expectedDistinctBytes = 0) {
     const auto g = static_cast<std::uint64_t>(granularity_);
     const std::uint64_t data = (expectedDistinctBytes + g - 1) / g;
-    tracker_.reserve(expectedAccesses, data);
+    tracker_.reserve(data);
     lastStmt_.reserve(static_cast<std::size_t>(data > 0 ? data
                                                         : expectedAccesses));
   }

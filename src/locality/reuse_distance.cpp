@@ -1,6 +1,7 @@
 #include "locality/reuse_distance.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <unordered_set>
 
@@ -12,24 +13,24 @@ namespace {
 
 // Smallest window the tree is rebuilt at, so short traces compact rarely.
 constexpr std::uint64_t kMinWindow = 1024;
+// A block is 512 slots: 8 bitvector words, one Fenwick node.
+constexpr unsigned kBlockShift = 9;
+constexpr std::uint32_t kBlockMask = (1u << kBlockShift) - 1;
+constexpr std::uint32_t kWordsPerBlock = 8;
+// A reuse whose old mark is at most this many words before the newest slot's
+// word is counted by popcounting forward instead of through the tree.
+constexpr std::uint32_t kScanWords = 8;
 
-std::int64_t prefixCount(const std::vector<std::int32_t>& tree,
-                         std::uint32_t slot) {
-  std::int64_t total = 0;
-  for (std::uint32_t x = slot + 1; x > 0; x &= x - 1) total += tree[x];
-  return total;
-}
-
-void addMark(std::vector<std::int32_t>& tree, std::uint32_t window,
-             std::uint32_t slot, std::int32_t delta) {
-  for (std::uint64_t x = slot + 1; x <= window; x += x & (~x + 1))
+void addToBlock(std::vector<std::int32_t>& tree, std::uint32_t block,
+                std::int32_t delta) {
+  for (std::size_t x = std::size_t{block} + 1; x < tree.size();
+       x += x & (~x + 1))
     tree[x] += delta;
 }
 
 }  // namespace
 
-void ReuseDistanceTracker::reserve(std::uint64_t,
-                                   std::uint64_t expectedDistinctData) {
+void ReuseDistanceTracker::reserve(std::uint64_t expectedDistinctData) {
   tableHint_ = std::min(expectedDistinctData, kMaxKeySpan);
 }
 
@@ -47,16 +48,47 @@ std::uint64_t ReuseDistanceTracker::access(std::int64_t key) {
     // The datum's own mark is the newest one: distance 0, and the mark can
     // stay where it is.
     if (lastPlusOne == next_) return 0;
-    const std::uint32_t prev = lastPlusOne - 1;
     // Every mark after the datum's own is a distinct datum touched since.
-    distance = live_ - static_cast<std::uint64_t>(prefixCount(marks_, prev));
-    addMark(marks_, window_, prev, -1);
+    const std::uint32_t prev = lastPlusOne - 1;
+    const std::uint32_t word = prev >> 6;
+    const unsigned bit = prev & 63;
+    const std::uint32_t lastWord = (next_ - 1) >> 6;
+    if (lastWord - word <= kScanWords) {
+      distance = static_cast<std::uint64_t>(
+          std::popcount(bits_[word] & (~std::uint64_t{1} << bit)));
+      for (std::uint32_t w = word + 1; w <= lastWord; ++w)
+        distance += static_cast<std::uint64_t>(std::popcount(bits_[w]));
+    } else {
+      // More than a block apart, so the mark's block precedes the tail block
+      // and every block before it is in the tree.
+      const std::uint32_t block = prev >> kBlockShift;
+      std::uint64_t before = 0;
+      for (std::uint32_t x = block; x > 0; x &= x - 1)
+        before += static_cast<std::uint64_t>(blocks_[x]);
+      for (std::uint32_t w = block * kWordsPerBlock; w < word; ++w)
+        before += static_cast<std::uint64_t>(std::popcount(bits_[w]));
+      before += static_cast<std::uint64_t>(
+          std::popcount(bits_[word] & (~std::uint64_t{0} >> (63 - bit))));
+      distance = live_ - before;
+    }
+    bits_[word] &= ~(std::uint64_t{1} << bit);
+    if ((prev >> kBlockShift) == (next_ >> kBlockShift))
+      --tail_;
+    else
+      addToBlock(blocks_, prev >> kBlockShift, -1);
   } else {
     ++live_;
   }
-  addMark(marks_, window_, next_, +1);
+  bits_[next_ >> 6] |= std::uint64_t{1} << (next_ & 63);
+  ++tail_;
   owner_[next_] = static_cast<std::uint32_t>(idx);
   last_[idx] = ++next_;
+  if ((next_ & kBlockMask) == 0) {
+    // The tail moves on: fold the finished block's count into the tree.
+    addToBlock(blocks_, (next_ >> kBlockShift) - 1,
+               static_cast<std::int32_t>(tail_));
+    tail_ = 0;
+  }
   return distance;
 }
 
@@ -103,18 +135,21 @@ std::uint64_t ReuseDistanceTracker::coverKey(std::int64_t key) {
 }
 
 void ReuseDistanceTracker::compact() {
-  // A slot holds a live mark iff its owner's last access is still there.
-  // Live marks keep their time order, so every distance is unchanged.
+  // The set bits are exactly the live marks, in time order; moving them to
+  // the front keeps that order, so every distance is unchanged.
   std::uint32_t kept = 0;
-  for (std::uint32_t s = 0; s < next_; ++s) {
-    const std::uint32_t idx = owner_[s];
-    if (last_[idx] == s + 1) {
+  for (std::uint32_t w = 0; w < bits_.size(); ++w) {
+    for (std::uint64_t m = bits_[w]; m != 0; m &= m - 1) {
+      const std::uint32_t idx =
+          owner_[w * 64 + static_cast<std::uint32_t>(std::countr_zero(m))];
       owner_[kept] = idx;
       last_[idx] = ++kept;
     }
   }
   next_ = kept;
   window_ = static_cast<std::uint32_t>(std::max(kMinWindow, 2 * (live_ + 1)));
+  const std::size_t words = (std::size_t{window_} + 63) / 64;
+  const std::size_t nodes = (words + kWordsPerBlock - 1) / kWordsPerBlock + 1;
   // Size the buffers for the whole hinted key range at once, so they are not
   // reallocated (and the freed copies left to fragment the heap) while the
   // working set grows.
@@ -122,16 +157,24 @@ void ReuseDistanceTracker::compact() {
     const std::uint64_t capacity =
         std::max<std::uint64_t>(window_, 2 * (tableHint_ + 1));
     owner_.reserve(capacity);
-    marks_.reserve(capacity + 1);
+    bits_.reserve((capacity + 63) / 64);
+    blocks_.reserve(((capacity + kBlockMask) >> kBlockShift) + 1);
   }
   owner_.resize(window_);
-  // Marks now fill slots [0, kept); tree node x sums slots (x - lowbit, x].
-  marks_.resize(std::size_t{window_} + 1);
-  marks_[0] = 0;
-  for (std::uint32_t x = 1; x <= window_; ++x) {
+  // Marks now fill slots [0, kept).
+  bits_.assign(words, 0);
+  std::fill_n(bits_.begin(), kept / 64, ~std::uint64_t{0});
+  if (kept % 64 != 0) bits_[kept / 64] = ~std::uint64_t{0} >> (64 - kept % 64);
+  // The blocks before the tail block are full; the tail block's count stays
+  // outside the tree.  Tree node x sums blocks (x - lowbit, x].
+  const std::uint32_t full = kept >> kBlockShift;
+  tail_ = kept & kBlockMask;
+  blocks_.resize(nodes);
+  blocks_[0] = 0;
+  for (std::uint32_t x = 1; x < nodes; ++x) {
     const std::uint32_t low = x - (x & (~x + 1));
-    marks_[x] = static_cast<std::int32_t>(
-        kept > low ? std::min(kept, x) - low : 0);
+    blocks_[x] = static_cast<std::int32_t>(
+        full > low ? (std::min(full, x) - low) << kBlockShift : 0);
   }
 }
 

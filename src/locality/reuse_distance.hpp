@@ -10,16 +10,25 @@
 // The streaming tracker costs O(log M) time per access and O(M) space, where
 // M is the number of distinct data.  Each datum keeps one mark in a window
 // of time-ordered slots, at the slot of its most recent access; the distance
-// of a reuse is the number of marks after the datum's own, counted by one
-// prefix query on a Fenwick tree over the window.  Marks only move forward,
-// so the window fills with dead slots; when it is full, the live marks are
-// compacted to the front in their time order and the tree is rebuilt in
-// O(window) time.  The window is resized to 2 * (M + 1) slots (at least
-// 1024) at each compaction, so at least M + 1 accesses separate two
-// compactions and their cost amortizes to O(1) per access.  The last-access
-// table is a vector of 32-bit slots indexed directly by key, because layout
-// addresses divided by a granularity are dense; it covers the span from the
-// lowest to the highest key seen, so O(M) space holds for dense keys.
+// of a reuse is the number of marks after the datum's own.  The window is a
+// rank bitvector: one bit per slot, and a Fenwick tree over the mark counts
+// of 512-slot blocks (a few thousand int32 nodes, small enough to stay in
+// L1).  The block that receives new marks keeps its count in a scalar
+// outside the tree, folded in when the window moves on to the next block, so
+// a new mark costs one bit set and one increment.  A reuse whose old mark
+// lies within 8 words of the newest slot is counted by popcounting forward
+// from the mark; a farther one by subtracting the tree's block prefix and a
+// popcount within the mark's block from the live count.  Marks only move
+// forward, so the window fills with dead slots; when it is full, the live
+// marks are compacted to the front in their time order and the bitvector and
+// tree are rebuilt in O(window / 64) time.  The window is resized to
+// 2 * (M + 1) slots (at least 1024) at each compaction, so at least M + 1
+// accesses separate two compactions and their cost amortizes to O(1) per
+// access.  Per datum that is 8 bytes of slot owners, 0.25 bytes of bits and
+// a negligible tree.  The last-access table is a vector of 32-bit slots
+// indexed directly by key, because layout addresses divided by a granularity
+// are dense; it covers the span from the lowest to the highest key seen
+// (4 bytes per key), so O(M) space holds for dense keys.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +60,9 @@ class ReuseDistanceTracker {
   /// [0, expectedDistinctData), the range that layout addresses divided by
   /// the granularity occupy, and the window buffers get capacity for that
   /// many data at the first compaction; keys outside the range still work
-  /// and grow both on demand.  Pass expectedDistinctData = 0 when only the
-  /// trace length is known: the table then starts at the first key and
-  /// grows from there.
-  /// expectedAccesses is accepted for source compatibility and unused, since
-  /// no structure grows with the trace length.
-  void reserve(std::uint64_t expectedAccesses,
-               std::uint64_t expectedDistinctData = 0);
+  /// and grow both on demand.  Without a hint the table starts at the first
+  /// key and grows from there.
+  void reserve(std::uint64_t expectedDistinctData);
 
  private:
   std::uint64_t coverKey(std::int64_t key);
@@ -69,9 +74,14 @@ class ReuseDistanceTracker {
   std::uint64_t tableHint_ = 0;
   // Window slot -> key - base_ of the access placed there.
   std::vector<std::uint32_t> owner_;
-  // Fenwick tree (1-based) over the window's live marks.
-  std::vector<std::int32_t> marks_;
-  std::uint32_t window_ = 0;  // slots in use by the tree
+  // Window slot s holds a live mark iff bit s % 64 of bits_[s / 64] is set.
+  std::vector<std::uint64_t> bits_;
+  // Fenwick tree (1-based) over the mark counts of the 512-slot blocks
+  // before the tail block next_ / 512; the tail block's node is 0 and its
+  // count is tail_.
+  std::vector<std::int32_t> blocks_;
+  std::uint32_t tail_ = 0;
+  std::uint32_t window_ = 0;  // slots covered by bits_
   std::uint32_t next_ = 0;    // next free slot
   std::uint64_t live_ = 0;    // marks in the window = distinct data so far
   std::uint64_t time_ = 0;
@@ -105,11 +115,13 @@ class ReuseDistanceSink final : public InstrSink {
   void onBlock(const InstrBlock& b) override;
 
   /// Forwarded to the tracker; `expectedDistinctBytes` is divided by the
-  /// granularity, rounding up, to size the last-access table.
-  void reserve(std::uint64_t expectedAccesses,
+  /// granularity, rounding up, to size the last-access table.  The access
+  /// count keeps the (accesses, bytes) shape InstrTrace::reserve has; no
+  /// tracker structure grows with it.
+  void reserve(std::uint64_t /*expectedAccesses*/,
                std::uint64_t expectedDistinctBytes = 0) {
     const auto g = static_cast<std::uint64_t>(granularity_);
-    tracker_.reserve(expectedAccesses, (expectedDistinctBytes + g - 1) / g);
+    tracker_.reserve((expectedDistinctBytes + g - 1) / g);
   }
 
   const ReuseProfile& profile() const { return profile_; }

@@ -35,9 +35,8 @@ std::uint64_t SampledReuseTracker::access(std::int64_t addr) {
       std::llround(static_cast<double>(d) * inverseRate_));
 }
 
-void SampledReuseTracker::reserve(std::uint64_t expectedAccesses,
-                                  std::uint64_t expectedDistinctData) {
-  exact_.reserve(expectedAccesses, expectedDistinctData);
+void SampledReuseTracker::reserve(std::uint64_t expectedDistinctData) {
+  exact_.reserve(expectedDistinctData);
 }
 
 SampledReuseSink::SampledReuseSink(std::int64_t granularity, double rate)
@@ -64,10 +63,10 @@ void SampledReuseSink::onBlock(const InstrBlock& b) {
   }
 }
 
-void SampledReuseSink::reserve(std::uint64_t expectedAccesses,
+void SampledReuseSink::reserve(std::uint64_t /*expectedAccesses*/,
                                std::uint64_t expectedDistinctBytes) {
   const auto g = static_cast<std::uint64_t>(granularity_);
-  tracker_.reserve(expectedAccesses, (expectedDistinctBytes + g - 1) / g);
+  tracker_.reserve((expectedDistinctBytes + g - 1) / g);
 }
 
 ReuseProfile SampledReuseSink::takeProfile() {

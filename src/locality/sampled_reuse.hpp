@@ -52,10 +52,9 @@ class SampledReuseTracker {
   std::uint64_t sampledAccesses() const { return exact_.accesses(); }
   std::uint64_t distinctSampled() const { return exact_.distinctData(); }
 
-  /// Pre-size for the expected *total* trace.  The key range is not thinned
-  /// by sampling, so the distinct-data hint passes through unscaled.
-  void reserve(std::uint64_t expectedAccesses,
-               std::uint64_t expectedDistinctData = 0);
+  /// Pre-size for the expected key range.  The key range is not thinned by
+  /// sampling, so the distinct-data hint passes through unscaled.
+  void reserve(std::uint64_t expectedDistinctData);
 
  private:
   double rate_;

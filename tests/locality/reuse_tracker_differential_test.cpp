@@ -1,8 +1,9 @@
-// Differential tests pinning ReuseDistanceTracker (windowed Fenwick over a
-// direct-indexed last-access table) to two slower exact references, access
-// by access: naiveReuseDistances on short traces and the O(log T) referee
-// tracker on long ones.  The traces are chosen to force many window
-// compactions and table growth at either end; the app sweep checks that
+// Differential tests pinning ReuseDistanceTracker (a rank-bitvector window
+// over a direct-indexed last-access table) to two slower exact references,
+// access by access: naiveReuseDistances on short traces and the O(log T)
+// referee tracker on long ones.  The traces are chosen to force many window
+// compactions, table growth at either end, and old marks at the edges of the
+// bitvector's words, blocks and popcount scan; the app sweep checks that
 // whole profiles stay byte-identical.
 #include <gtest/gtest.h>
 
@@ -30,11 +31,12 @@ using testing::RefereeReuseTracker;
 using testing::RefereeReuseSink;
 
 // Per-access comparison against the referee, and against the naive
-// definition too when the trace is short enough for its O(T * D) cost.
-void expectExact(const std::vector<std::int64_t>& trace, const char* what) {
-  constexpr std::size_t kNaiveLimit = 4000;
+// definition too when the trace is no longer than `naiveLimit` (its cost is
+// O(T * D)).
+void expectExact(const std::vector<std::int64_t>& trace,
+                 const std::string& what, std::size_t naiveLimit = 4000) {
   std::vector<std::uint64_t> naive;
-  if (trace.size() <= kNaiveLimit) naive = naiveReuseDistances(trace);
+  if (trace.size() <= naiveLimit) naive = naiveReuseDistances(trace);
   ReuseDistanceTracker t;
   RefereeReuseTracker ref;
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -138,7 +140,7 @@ TEST(ReuseTrackerDifferential, ReserveHintDoesNotChangeDistances) {
   std::vector<std::int64_t> trace;
   for (int i = 0; i < 30000; ++i) trace.push_back(rng.nextInRange(-300, 3000));
   ReuseDistanceTracker hinted;
-  hinted.reserve(trace.size(), 1000);
+  hinted.reserve(1000);
   RefereeReuseTracker ref;
   for (std::size_t i = 0; i < trace.size(); ++i)
     ASSERT_EQ(hinted.access(trace[i]), ref.access(trace[i])) << "pos " << i;
@@ -163,6 +165,69 @@ TEST(ReuseTrackerDifferential, KeySpanBeyondCapThrows) {
   extremes.access(INT64_MIN);
   EXPECT_THROW(extremes.access(INT64_MAX), Error);
   EXPECT_EQ(extremes.access(INT64_MIN), 0u);
+}
+
+// Slot geometry the bitvector tests below rely on: the k-th access of a trace
+// whose accesses are all cold lands in window slot k, because a compaction
+// then finds every mark live and leaves it in place.  The windows such a
+// trace passes through hold 1024, 2050 and 4102 slots.  A block is 512 slots
+// (8 words of 64), and a reuse whose old mark is at most 8 words before the
+// newest slot's word is counted by popcount alone.
+
+// Datum 0 marked at `prevSlot`, then cold fillers up to `endSlot`, then
+// datum 0 again.  Then every datum twice more, newest first: the first pass
+// counts old marks on both sides of the cleared one, the second counts
+// through blocks the first pass filled.
+std::vector<std::int64_t> reuseAcross(std::int64_t prevSlot,
+                                      std::int64_t endSlot) {
+  std::vector<std::int64_t> trace;
+  for (std::int64_t s = 0; s < prevSlot; ++s) trace.push_back(s + 1);
+  trace.push_back(0);
+  for (std::int64_t s = prevSlot + 1; s <= endSlot; ++s) trace.push_back(s);
+  trace.push_back(0);
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::int64_t s = endSlot; s >= 0; --s) trace.push_back(s);
+  return trace;
+}
+
+TEST(ReuseTrackerDifferential, BitvectorWordBlockAndScanEdges) {
+  // Old marks at bit 0 and bit 63 of a word, at both ends of a block, and
+  // across the 1024- and 2050-slot windows; newest marks 0 to 17 words
+  // later, ending at bit 0 or 63 of their word.  Spans of 8 words are the
+  // last counted by popcount alone, 9 the first counted through the tree.
+  // With the newest mark in the same block the old mark is in the tail
+  // block; with it in the next block, in the block just before the tail.
+  for (std::int64_t prevSlot : {0, 63, 64, 127, 448, 511, 512, 575, 1023,
+                                1024, 1535, 2047, 2049, 2050}) {
+    for (std::int64_t spanWords : {0, 1, 7, 8, 9, 10, 17}) {
+      for (std::int64_t endBit : {0, 63}) {
+        const std::int64_t endSlot = (prevSlot / 64 + spanWords) * 64 + endBit;
+        if (endSlot <= prevSlot) continue;
+        expectExact(reuseAcross(prevSlot, endSlot),
+                    "prev " + std::to_string(prevSlot) + " end " +
+                        std::to_string(endSlot),
+                    /*naiveLimit=*/0);
+      }
+    }
+  }
+}
+
+TEST(ReuseTrackerDifferential, CompactionLeavesPartialTailBlock) {
+  // Cyclic scans over m data compact to m live marks in a window of
+  // 2 * (m + 1) slots, none of them a multiple of 512 but 1024 and 2048.
+  // At m = 1023 the compaction leaves a tail block with 511 marks and the
+  // very next mark crosses into the next block; at 700 and 2500 the tail is
+  // partly filled and the crossing comes later.  Random reuses afterwards
+  // put old marks in every block, tail included.
+  for (std::int64_t m : {511, 512, 513, 700, 1023, 1024, 1535, 2500}) {
+    std::vector<std::int64_t> trace;
+    for (int pass = 0; pass < 6; ++pass)
+      for (std::int64_t i = 0; i < m; ++i) trace.push_back(i);
+    SplitMix64 rng(static_cast<std::uint64_t>(m));
+    for (std::int64_t i = 0; i < 4 * m; ++i)
+      trace.push_back(rng.nextInRange(0, m - 1));
+    expectExact(trace, "m " + std::to_string(m), /*naiveLimit=*/0);
+  }
 }
 
 // Expected output of a SampledReuseTracker, built from the referee over the
